@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .diagnostics import (
     AlignmentSample,
     MetricsRecord,
-    count_violations,
     gate_stats,
     grad_dot,
     macro_accuracy,
@@ -24,7 +23,7 @@ from .learners import (
     train_sequential,
 )
 from .memory import EpisodicMemory
-from .model import Classifier, GateRecord, ModelConfig, partition_for_inner_loop, partition_for_outer_loop
+from .model import Classifier, GateRecord, ModelConfig
 from .numerics import (
     InputError,
     LossMode,
@@ -38,12 +37,10 @@ from .numerics import (
 from .stream import (
     Batch,
     BatchStream,
-    CandidateBatch,
     FeaturizerConfig,
     StreamConfig,
     Suite,
     TaskSpec,
-    build_stream,
     featurize,
     load_text_task,
     make_synthetic_suite,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -16,14 +17,7 @@ def save_checkpoint(path, params: ParameterSet, config: ModelConfig) -> None:
     meta = {
         "version": FORMAT_VERSION,
         "partitions": {n: p.value for n, p in params.partitions.items()},
-        "config": {
-            "input_dim": config.input_dim,
-            "encoder_dims": list(config.encoder_dims),
-            "num_classes": config.num_classes,
-            "architecture": config.architecture,
-            "nm_hidden_dim": config.nm_hidden_dim,
-            "loss_mode": config.loss_mode.value,
-        },
+        "config": asdict(config),
     }
     arrays = {f"tensor/{n}": t for n, t in params.tensors.items()}
     arrays["__meta__"] = np.frombuffer(
@@ -41,12 +35,6 @@ def load_checkpoint(path):
         tensors = {k[len("tensor/"):]: data[k] for k in data.files if k.startswith("tensor/")}
     partitions = {n: Partition(p) for n, p in meta["partitions"].items()}
     c = meta["config"]
-    config = ModelConfig(
-        input_dim=c["input_dim"],
-        encoder_dims=tuple(c["encoder_dims"]),
-        num_classes=c["num_classes"],
-        architecture=c["architecture"],
-        nm_hidden_dim=c["nm_hidden_dim"],
-        loss_mode=LossMode(c["loss_mode"]),
-    )
+    config = ModelConfig(**{**c, "encoder_dims": tuple(c["encoder_dims"]),
+                            "loss_mode": LossMode(c["loss_mode"])})
     return ParameterSet(tensors, partitions), config

@@ -21,12 +21,12 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import build_model, build_suite, load_config
-from .diagnostics import MetricsRecord, count_violations, gate_stats, macro_accuracy
-from .episodes import ReplaySchedule, replay_frequency
+from .diagnostics import MetricsRecord, gate_stats, macro_accuracy
+from .episodes import ReplaySchedule
 from .learners import run as run_learner
 from .model import Classifier, ModelConfig
 from .numerics import InputError, LossMode, NumericalError, grad_check
-from .stream import Batch, CandidateBatch, make_synthetic_suite
+from .stream import Batch, make_synthetic_suite
 
 
 def _json_line(record: dict) -> str:
@@ -146,11 +146,7 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     def min_preactivation(clf, params, batch):
         """Smallest |z| over all ReLU inputs; central differences are only
         trustworthy when no unit sits within eps of the kink."""
-        if clf.config.loss_mode == LossMode.CANDIDATE_BCE:
-            x = batch.stacked()[0]
-        else:
-            x = batch.features
-        _, cache = clf._forward(params, x)
+        _, cache = clf._scores(params, batch.features)
         zs = [np.abs(z).min() for z in cache["enc_out"]]
         for key in ("nm_z0", "nm_z1"):
             if key in cache:
@@ -168,11 +164,9 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
                 t += 0.1 * rng.standard_normal(t.shape)
         while True:
             if config.loss_mode == LossMode.CANDIDATE_BCE:
-                batch = CandidateBatch(
-                    tuple(rng.standard_normal((int(rng.integers(2, 5)), config.input_dim))
-                          for _ in range(4)),
-                    np.array([0, 1, 0, 1]),
-                )
+                k = int(rng.integers(2, 5))
+                batch = Batch(rng.standard_normal((4, k, config.input_dim)),
+                              np.array([0, 1, 0, 1]))
             else:
                 batch = Batch(rng.standard_normal((8, config.input_dim)),
                               rng.integers(0, config.num_classes, size=8))

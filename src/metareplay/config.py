@@ -7,12 +7,12 @@ hyperparameter can never silently fall back to a default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .episodes import ReplaySchedule
-from .learners import META_METHODS, METHODS, LearnerConfig
+from .learners import METHODS, LearnerConfig
 from .model import Classifier, ModelConfig
-from .numerics import InputError, LossMode
+from .numerics import InputError
 from .stream import FeaturizerConfig, Suite, load_text_task, make_synthetic_suite
 
 _REQUIRED = object()
@@ -39,7 +39,6 @@ _SCHEMA = {
         "encoder_dims": [32],
         "architecture": None,  # derived from the method when omitted
         "nm_hidden_dim": 32,
-        "loss_mode": "MULTICLASS_CE",
     },
     "schedule": {
         "batch_size": 16,
@@ -113,13 +112,6 @@ class RunConfig:
     dataset_spec: dict | None
     combined_test: bool
     save_checkpoints: bool
-    raw: dict
-
-    @property
-    def num_tasks(self) -> int:
-        if self.suite_spec is not None:
-            return self.suite_spec["num_tasks"]
-        return len(self.dataset_spec["train_files"])
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -132,33 +124,20 @@ def parse_config(raw: dict) -> RunConfig:
     has_dataset = "dataset" in raw
     if has_suite == has_dataset:
         raise InputError("config needs exactly one of 'suite' or 'dataset'")
-    suite_spec = _apply_schema(raw.get("suite", {}), _SCHEMA["suite"]) if has_suite else None
-    dataset_spec = None
-    if has_dataset:
-        dataset_spec = _apply_schema(raw["dataset"], _SCHEMA["dataset"])
-        dataset_spec["featurizer"] = _apply_schema(
-            dataset_spec.get("featurizer", {}), _SCHEMA["dataset"]["featurizer"])
-        if len(dataset_spec["train_files"]) != len(dataset_spec["test_files"]):
-            raise InputError("train_files and test_files must pair up per task")
+    suite_spec = cfg["suite"] if has_suite else None
+    dataset_spec = cfg.get("dataset")
+    if has_dataset and len(dataset_spec["train_files"]) != len(dataset_spec["test_files"]):
+        raise InputError("train_files and test_files must pair up per task")
 
-    schedule = ReplaySchedule(
-        batch_size=cfg["schedule"]["batch_size"],
-        support_size=cfg["schedule"]["support_size"],
-        replay_interval=cfg["schedule"]["replay_interval"],
-        replay_rate=cfg["schedule"]["replay_rate"],
-    )
-    epochs = cfg["learning"]["epochs"]
-    if method != "MTL" and epochs != 1:
-        raise InputError("continual methods force epochs=1 (single pass)")
     learner = LearnerConfig(
         method=method,
-        schedule=schedule,
+        schedule=ReplaySchedule(**cfg["schedule"]),
         inner_lr=cfg["learning"]["inner_lr"],
         outer_lr=cfg["learning"]["outer_lr"],
         p_write=cfg["memory"]["p_write"],
         no_replay=cfg["ablations"]["no_replay"],
         no_meta_test_finetune=cfg["ablations"]["no_meta_test_finetune"],
-        epochs=epochs,
+        epochs=cfg["learning"]["epochs"],
         record_alignment=cfg["record_alignment"],
     )
 
@@ -168,17 +147,16 @@ def parse_config(raw: dict) -> RunConfig:
         num_tasks = suite_spec["num_tasks"]
     else:
         input_dim = dataset_spec["featurizer"]["dim"]
-        num_classes = None  # determined after loading
+        num_classes = 2  # replaced by the loaded label count in build_model
         num_tasks = len(dataset_spec["train_files"])
 
     arch = cfg["model"]["architecture"] or _ARCH_FOR_METHOD[method]
     model = ModelConfig(
         input_dim=input_dim,
         encoder_dims=tuple(cfg["model"]["encoder_dims"]),
-        num_classes=num_classes if num_classes is not None else 2,
+        num_classes=num_classes,
         architecture=arch,
         nm_hidden_dim=cfg["model"]["nm_hidden_dim"],
-        loss_mode=LossMode[cfg["model"]["loss_mode"]],
     )
 
     orders = cfg["orders"] or [list(range(num_tasks))]
@@ -196,7 +174,6 @@ def parse_config(raw: dict) -> RunConfig:
         dataset_spec=dataset_spec,
         combined_test=cfg["combined_test"],
         save_checkpoints=cfg["save_checkpoints"],
-        raw=raw,
     )
 
 
@@ -212,23 +189,9 @@ def load_config(path) -> RunConfig:
 def build_suite(run_config: RunConfig) -> Suite:
     """Materialize the task suite (synthetic or from dataset files)."""
     if run_config.suite_spec is not None:
-        s = run_config.suite_spec
-        return make_synthetic_suite(
-            kind=s["kind"],
-            num_tasks=s["num_tasks"],
-            classes_per_task=s["classes_per_task"],
-            examples_per_class=s["examples_per_class"],
-            input_dim=s["input_dim"],
-            seed=s["seed"],
-            test_per_class=s["test_per_class"],
-            separation=s["separation"],
-        )
+        return make_synthetic_suite(**run_config.suite_spec)
     d = run_config.dataset_spec
-    feat = FeaturizerConfig(
-        dim=d["featurizer"]["dim"],
-        truncate=d["featurizer"]["truncate"],
-        l2_normalize=d["featurizer"]["l2_normalize"],
-    )
+    feat = FeaturizerConfig(**d["featurizer"])
     train = [load_text_task(p, i, feat) for i, p in enumerate(d["train_files"])]
     test = [load_text_task(p, i, feat) for i, p in enumerate(d["test_files"])]
     return Suite(train, test, meta={"dataset": d})
@@ -236,13 +199,6 @@ def build_suite(run_config: RunConfig) -> Suite:
 
 def build_model(run_config: RunConfig, suite: Suite) -> Classifier:
     config = run_config.model
-    if run_config.dataset_spec is not None and config.loss_mode == LossMode.MULTICLASS_CE:
-        config = ModelConfig(
-            input_dim=config.input_dim,
-            encoder_dims=config.encoder_dims,
-            num_classes=suite.num_classes,
-            architecture=config.architecture,
-            nm_hidden_dim=config.nm_hidden_dim,
-            loss_mode=config.loss_mode,
-        )
+    if run_config.dataset_spec is not None:
+        config = replace(config, num_classes=suite.num_classes)
     return Classifier(config)

@@ -41,12 +41,6 @@ def grad_dot(g1: dict, g2: dict, step: int = 0) -> AlignmentSample:
     return AlignmentSample(step, float(a @ b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
-def count_violations(samples_by_task: dict) -> dict:
-    """Per task, the number of alignment samples with a negative dot product."""
-    return {task: sum(1 for s in samples if s.dot < 0)
-            for task, samples in samples_by_task.items()}
-
-
 def macro_accuracy(per_task: list) -> float:
     """Unweighted mean of per-task accuracies."""
     if not per_task:

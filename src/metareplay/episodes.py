@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .numerics import InputError
+from .stream import Batch
 
 STREAM = "STREAM"
 MEMORY = "MEMORY"
@@ -125,14 +126,6 @@ def meta_test_episode(memory, test_batch, support_size: int, batch_size: int,
     drawn = memory.sample(support_size * batch_size)
     n = len(drawn)
     per = max(1, math.ceil(n / support_size))
-    support = [drawn.__class__(*(f[s : s + per] for f in _batch_fields(drawn)))
+    support = [Batch(drawn.features[s : s + per], drawn.labels[s : s + per])
                for s in range(0, n, per)]
     return Episode(0, support, test_batch, STREAM)
-
-
-def _batch_fields(batch):
-    # Batch and CandidateBatch are both two-field frozen dataclasses whose
-    # fields slice positionally in parallel.
-    import dataclasses
-
-    return [getattr(batch, f.name) for f in dataclasses.fields(batch)]

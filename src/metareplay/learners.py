@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import AlignmentSample, flatten_grads, grad_dot, macro_accuracy
+from .diagnostics import AlignmentSample, flatten_grads, grad_dot
 from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
 from .model import Classifier
 from .numerics import InputError, adam_step, sgd_step
 from .rngs import named_rngs
-from .stream import BatchStream, StreamConfig, pooled_batches
+from .stream import BatchStream, StreamConfig, TaskSpec, pooled_batches
 
 META_METHODS = ("OML_ER", "ANML_ER", "MAML_ER")
 BASELINE_METHODS = ("SEQ", "REPLAY", "AGEM", "MTL")
@@ -35,12 +35,14 @@ class LearnerConfig:
     p_write: float = 1.0
     no_replay: bool = False
     no_meta_test_finetune: bool = False
-    epochs: int = 1              # MTL only; continual methods are single-pass
+    epochs: int = 1              # MTL only (>= 1); continual methods are single-pass
     record_alignment: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}")
+        if self.method == "MTL" and self.epochs < 1:
+            raise InputError("MTL needs epochs >= 1")
         if self.method != "MTL" and self.epochs != 1:
             raise InputError("continual methods are single-pass (epochs must be 1)")
 
@@ -145,14 +147,12 @@ def _support_query_alignment(model, params, ep: Episode, step: int) -> Alignment
     return grad_dot(total, gq, step)
 
 
-def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig,
-                     combined: bool = False):
+def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig):
     """Per-task accuracy after fine-tuning on memory samples (Algorithm-2 style).
 
-    Each task gets a fresh copy of the trained parameters; the trained
-    parameters are never mutated. With ``combined`` a single episode is built
-    whose query is the concatenation of all test sets (candidate-ranking
-    evaluation). The ablation flag skips fine-tuning entirely.
+    Each task gets its own memory draw and a fresh copy of the trained
+    parameters; the trained parameters are never mutated. The ablation flag
+    skips fine-tuning entirely.
     """
     schedule = config.schedule
     finetune = not config.no_meta_test_finetune
@@ -170,22 +170,12 @@ def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig,
             gate_records.append(gate)
         return model.accuracy(eval_params, ep.query)
 
-    if combined:
-        merged = _concat_tasks(test_tasks)
-        return [evaluate(merged)], gate_records
     return [evaluate(task) for task in test_tasks], gate_records
 
 
 def _concat_tasks(tasks):
-    from .stream import TaskSpec
-
-    first = tasks[0]
-    if first.is_candidate:
-        feats = [f for t in tasks for f in t.candidate_features]
-        pos = np.concatenate([t.positives for t in tasks])
-        return TaskSpec(-1, candidate_features=feats, positives=pos)
     return TaskSpec(-1,
-                    np.vstack([t.features for t in tasks]),
+                    np.concatenate([t.features for t in tasks]),
                     np.concatenate([t.labels for t in tasks]))
 
 
@@ -265,8 +255,6 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
 
 def train_mtl(model, tasks, config: LearnerConfig, seed: int):
     """Multi-task upper bound: i.i.d. pooled batches for several epochs."""
-    if config.epochs < 1:
-        raise InputError("MTL needs epochs >= 1")
     rngs = named_rngs(seed)
     params = model.init_params(rngs["init"])
     trace = TrainingTrace()
@@ -292,19 +280,21 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
         stream_order=None, combined_test: bool = False):
     """Train with the configured method and evaluate on the suite's test sets.
 
+    With ``combined_test`` the test sets are concatenated into one, so every
+    method reports a single accuracy over all test examples.
     Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
+    test = [_concat_tasks(suite.test)] if combined_test and suite.test else suite.test
     if config.method == "MTL":
         params, memory, trace = train_mtl(model, suite.train, config, seed)
-        accs = evaluate_direct(model, params, suite.test)
+        accs = evaluate_direct(model, params, test)
         return accs, params, memory, trace, []
     if config.method in BASELINE_METHODS:
         params, memory, trace = train_sequential(model, suite.train, config, seed,
                                                  stream_order)
-        accs = evaluate_direct(model, params, suite.test)
+        accs = evaluate_direct(model, params, test)
         return accs, params, memory, trace, []
     params, memory, trace = run_meta_training(model, suite.train, config, seed,
                                               stream_order)
-    accs, gates = run_meta_testing(model, params, memory, suite.test, config,
-                                   combined=combined_test)
+    accs, gates = run_meta_testing(model, params, memory, test, config)
     return accs, params, memory, trace, gates

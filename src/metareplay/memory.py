@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 
 from .numerics import InputError
-from .stream import Batch, CandidateBatch
+from .stream import Batch
 
 
 class EpisodicMemory:
@@ -24,10 +24,9 @@ class EpisodicMemory:
         self.p_write = p_write
         self._write_rng = write_rng
         self._sample_rng = sample_rng
-        self._features: list = []   # feature rows, or (pair_features, positive) tuples
+        self._features: list = []   # one (d,) or (K, d) feature row per example
         self._labels: list = []
         self._task_ids: list = []
-        self._candidate_mode = False
         self.offers = 0
         self.short_samples = 0
 
@@ -45,17 +44,10 @@ class EpisodicMemory:
             return 0
         else:
             admit = self._write_rng.random(n) < self.p_write
-        if isinstance(batch, CandidateBatch):
-            self._candidate_mode = True
-            for i in np.flatnonzero(admit):
-                self._features.append(batch.pair_features[i])
-                self._labels.append(int(batch.positives[i]))
-                self._task_ids.append(task_id)
-        else:
-            for i in np.flatnonzero(admit):
-                self._features.append(batch.features[i])
-                self._labels.append(int(batch.labels[i]))
-                self._task_ids.append(task_id)
+        for i in np.flatnonzero(admit):
+            self._features.append(batch.features[i])
+            self._labels.append(int(batch.labels[i]))
+            self._task_ids.append(task_id)
         return int(admit.sum())
 
     def sample(self, n: int):
@@ -73,11 +65,6 @@ class EpisodicMemory:
             idx = self._sample_rng.permutation(size)
         else:
             idx = self._sample_rng.choice(size, size=n, replace=False)
-        if self._candidate_mode:
-            return CandidateBatch(
-                tuple(self._features[i] for i in idx),
-                np.array([self._labels[i] for i in idx]),
-            )
         return Batch(
             np.array([self._features[i] for i in idx]),
             np.array([self._labels[i] for i in idx]),

@@ -14,8 +14,7 @@ gradients for an arbitrary subset of parameter partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,63 +211,56 @@ class Classifier:
                 grads[f"enc{i}.b"] = db
         return grads
 
+    def _scores(self, params: ParameterSet, x: np.ndarray):
+        """Forward pass to per-example scores: (n, C) logits, or in
+        CANDIDATE_BCE mode the (n, K) pair scores of (n, K, d) features,
+        whose pair rows run through the network as one (n*K, d) matrix."""
+        if self.config.loss_mode != LossMode.CANDIDATE_BCE:
+            return self._forward(params, x)
+        if x.ndim != 3:
+            raise InputError(f"candidate features must be (n, K, d), got {x.shape}")
+        logits, cache = self._forward(params, x.reshape(-1, x.shape[-1]))
+        return logits.reshape(x.shape[:2]), cache
+
     # -- public API ---------------------------------------------------------
 
     def predict(self, params: ParameterSet, batch):
-        """Logits per example plus a GateRecord (ANML only, else None).
+        """Scores per example plus a GateRecord (ANML only, else None).
 
-        In CANDIDATE_BCE mode returns a list of per-example candidate-score
-        arrays; prediction is the argmax within each candidate list.
+        Scores are (n, C) class logits, or (n, K) candidate scores in
+        CANDIDATE_BCE mode; either way the prediction is the row argmax.
         """
-        if self.config.loss_mode == LossMode.CANDIDATE_BCE:
-            x, sizes, _ = batch.stacked()
-            logits, cache = self._forward(params, x)
-            scores = np.split(logits[:, 0], np.cumsum(sizes)[:-1])
-            gate = GateRecord(cache["gate"]) if "gate" in cache else None
-            return scores, gate
-        logits, cache = self._forward(params, batch.features)
+        scores, cache = self._scores(params, batch.features)
         gate = GateRecord(cache["gate"]) if "gate" in cache else None
-        return logits, gate
+        return scores, gate
 
     def loss_and_grad(self, params: ParameterSet, batch, partition_filter):
         """Mean batch loss and analytic gradients for the filtered partitions."""
         parts = set(partition_filter)
         if not parts:
             raise InputError("partition filter is empty")
+        if len(batch) == 0:
+            raise InputError("empty batch")
+        scores, cache = self._scores(params, batch.features)
         if self.config.loss_mode == LossMode.CANDIDATE_BCE:
-            x, sizes, positives = batch.stacked()
-            if x.shape[0] == 0:
-                raise InputError("empty batch")
-            logits, cache = self._forward(params, x)
-            targets = np.zeros(x.shape[0])
-            offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-            targets[offsets + positives] = 1.0
-            loss, dflat = sigmoid_bce(logits[:, 0], targets)
+            # One BCE term per (input, candidate) pair; only the true one is 1.
+            n, k = scores.shape
+            labels = np.asarray(batch.labels)
+            if labels.min() < 0 or labels.max() >= k:
+                raise InputError(f"candidate label out of range [0, {k})")
+            targets = np.zeros((n, k))
+            targets[np.arange(n), labels] = 1.0
+            loss, dflat = sigmoid_bce(scores.ravel(), targets.ravel())
             dlogits = dflat[:, None]
         else:
-            if batch.features.shape[0] == 0:
-                raise InputError("empty batch")
-            logits, cache = self._forward(params, batch.features)
-            loss, dlogits = softmax_cross_entropy(logits, batch.labels)
+            loss, dlogits = softmax_cross_entropy(scores, batch.labels)
         if not np.isfinite(loss):
             raise NumericalError(
-                "non-finite loss", payload={"loss": loss, "logits_max": float(np.abs(logits).max())}
+                "non-finite loss", payload={"loss": loss, "logits_max": float(np.abs(scores).max())}
             )
         return loss, self._backward(params, cache, dlogits, parts)
 
     def accuracy(self, params: ParameterSet, batch) -> float:
         """Fraction of correct predictions on a batch."""
         scores, _ = self.predict(params, batch)
-        if self.config.loss_mode == LossMode.CANDIDATE_BCE:
-            pred = np.array([int(np.argmax(s)) for s in scores])
-            return float((pred == np.asarray(batch.positives)).mean())
-        pred = scores.argmax(axis=1)
-        return float((pred == np.asarray(batch.labels)).mean())
-
-
-def partition_for_inner_loop(config: ModelConfig) -> set:
-    return Classifier(config).inner_partitions()
-
-
-def partition_for_outer_loop(config: ModelConfig) -> set:
-    return Classifier(config).outer_partitions()
+        return float((scores.argmax(axis=1) == np.asarray(batch.labels)).mean())

@@ -58,11 +58,6 @@ class ParameterSet:
         if set(self.tensors) != set(self.partitions):
             raise InputError("every parameter needs exactly one partition label")
 
-    def names_in(self, partitions) -> list[str]:
-        """Parameter names whose label is in ``partitions``, in sorted order."""
-        parts = set(partitions)
-        return sorted(n for n, p in self.partitions.items() if p in parts)
-
     def clone(self) -> "ParameterSet":
         return ParameterSet(
             tensors={n: t.copy() for n, t in self.tensors.items()},

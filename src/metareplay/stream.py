@@ -20,29 +20,19 @@ from .numerics import InputError
 
 @dataclass(frozen=True)
 class Batch:
-    """What a learner sees: features and labels, nothing else."""
+    """What a learner sees: features and labels, nothing else.
 
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray    # (n,) class indices
+    Class-label mode: ``features`` is (n, d) and ``labels`` holds class
+    indices. Candidate-ranking mode: ``features`` is (n, K, d), one
+    (input, candidate) pair row per candidate, and ``labels`` holds the index
+    of the true candidate in [0, K).
+    """
+
+    features: np.ndarray
+    labels: np.ndarray  # (n,)
 
     def __len__(self):
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class CandidateBatch:
-    """Batch for candidate-ranking mode: per example, a list of scored pairs."""
-
-    pair_features: tuple  # per example, an (n_candidates, d) array
-    positives: np.ndarray  # index of the true candidate per example
-
-    def __len__(self):
-        return len(self.pair_features)
-
-    def stacked(self):
-        """Flatten all candidate pairs into one matrix for the forward pass."""
-        sizes = np.array([p.shape[0] for p in self.pair_features])
-        return np.vstack(self.pair_features), sizes, np.asarray(self.positives)
 
 
 @dataclass
@@ -50,28 +40,14 @@ class TaskSpec:
     """One task's labelled examples. The id is for evaluation/diagnostics only."""
 
     task_id: int
-    features: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    # Candidate-ranking mode: parallel lists instead of dense arrays.
-    candidate_features: list | None = None
-    positives: np.ndarray | None = None
+    features: np.ndarray
+    labels: np.ndarray
 
     @property
     def size(self) -> int:
-        if self.features is not None:
-            return self.features.shape[0]
-        return len(self.candidate_features)
-
-    @property
-    def is_candidate(self) -> bool:
-        return self.candidate_features is not None
+        return self.features.shape[0]
 
     def take(self, idx):
-        if self.is_candidate:
-            return CandidateBatch(
-                tuple(self.candidate_features[i] for i in idx),
-                np.asarray([self.positives[i] for i in idx]),
-            )
         return Batch(self.features[idx], self.labels[idx])
 
     def full_batch(self):
@@ -83,7 +59,6 @@ class StreamConfig:
     order: tuple          # permutation of positions into the task list
     batch_size: int
     seed: int = 0
-    single_pass: bool = True
 
 
 @dataclass(frozen=True)
@@ -131,6 +106,8 @@ class BatchStream:
         for t in tasks:
             if t.size == 0:
                 raise InputError(f"task {t.task_id} is empty")
+        if len({t.features.shape[1:] for t in tasks}) > 1:
+            raise InputError("all tasks need one feature shape (one candidate count K per run)")
         self.tasks = [tasks[i] for i in config.order]
         self.config = config
         self._rng = rng if rng is not None else np.random.default_rng(config.seed)
@@ -149,10 +126,6 @@ class BatchStream:
     def __iter__(self):
         for batch, _ in self.with_task_ids():
             yield batch
-
-
-def build_stream(tasks, config: StreamConfig, rng=None) -> BatchStream:
-    return BatchStream(tasks, config, rng)
 
 
 def pooled_batches(tasks, batch_size: int, rng: np.random.Generator, epochs: int = 1):

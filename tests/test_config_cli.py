@@ -156,6 +156,15 @@ def test_cli_rejects_bad_config_with_exit_code_2(tmp_path):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_rejects_loss_mode_key_with_exit_code_2(tmp_path, capsys):
+    # Both data sources build class-label tasks, so candidate ranking is
+    # library-only and the config has no loss-mode key.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal(model={"loss_mode": "CANDIDATE_BCE"})))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "model.loss_mode" in capsys.readouterr().err
+
+
 def test_cli_schedule_info_subcommand(capsys):
     assert main(["schedule-info", "--replay-interval", "1600", "--batch-size", "4",
                  "--support-size", "5", "--replay-rate", "0.01"]) == 0

@@ -6,7 +6,6 @@ import pytest
 from metareplay.diagnostics import (
     AlignmentSample,
     MetricsRecord,
-    count_violations,
     flatten_grads,
     gate_stats,
     grad_dot,
@@ -42,14 +41,6 @@ def test_grad_dot_requires_matching_keys():
 def test_cosine_of_zero_vectors_is_zero():
     s = AlignmentSample(0, 0.0, 0.0, 0.0)
     assert s.cosine == 0.0
-
-
-def test_count_violations():
-    samples = {
-        0: [AlignmentSample(1, -0.5, 1, 1), AlignmentSample(2, 0.5, 1, 1)],
-        1: [AlignmentSample(3, -0.1, 1, 1), AlignmentSample(4, -0.2, 1, 1)],
-    }
-    assert count_violations(samples) == {0: 1, 1: 2}
 
 
 def test_macro_accuracy_is_unweighted_mean():

@@ -6,6 +6,7 @@ import pytest
 from conftest import QuadraticModel, random_spd
 from metareplay import ReplaySchedule
 from metareplay.learners import (
+    METHODS,
     LearnerConfig,
     agem_project,
     inner_adapt,
@@ -15,7 +16,8 @@ from metareplay.learners import (
     train_sequential,
 )
 from metareplay.model import Classifier, ModelConfig
-from metareplay.numerics import InputError, ParameterSet, Partition
+from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
+from metareplay.stream import BatchStream, StreamConfig, Suite, TaskSpec
 
 RNG = np.random.default_rng(23)
 
@@ -254,4 +256,63 @@ def test_epochs_rejected_for_continual_methods(small_schedule):
     with pytest.raises(InputError):
         LearnerConfig("SEQ", small_schedule, epochs=2)
     with pytest.raises(InputError):
+        LearnerConfig("MTL", small_schedule, epochs=0)
+    with pytest.raises(InputError):
         LearnerConfig("NOSUCH", small_schedule)
+
+
+def test_combined_test_applies_to_baselines(small_suite, small_schedule):
+    cfg = LearnerConfig("SEQ", small_schedule, outer_lr=0.05)
+    per_task, *_ = run(_clf(), small_suite, cfg, seed=0)
+    accs, *_ = run(_clf(), small_suite, cfg, seed=0, combined_test=True)
+    assert len(accs) == 1
+    # Equal-sized test sets: the pooled accuracy is the mean of the per-task ones.
+    assert accs[0] == pytest.approx(np.mean(per_task))
+
+
+# ---------------------------------------------------------------------------
+# Candidate ranking: (n, K, d) batches
+# ---------------------------------------------------------------------------
+
+def _candidate_suite(ks=(3, 3, 3), dim=4, n=24):
+    """Tasks of n examples, each K (input, candidate) pair rows of width
+    dim; the true candidate's row is shifted so it is learnable."""
+    rng = np.random.default_rng(5)
+
+    def task(tid, k, size):
+        features = rng.standard_normal((size, k, dim))
+        labels = rng.integers(0, k, size=size)
+        features[np.arange(size), labels] += 1.0
+        return TaskSpec(tid, features, labels)
+
+    return Suite([task(t, k, n) for t, k in enumerate(ks)],
+                 [task(t, k, n // 2) for t, k in enumerate(ks)])
+
+
+@pytest.mark.parametrize("combined", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_candidate_suite_runs_every_method(method, combined):
+    # Replay is due every episode and every other baseline step.
+    schedule = ReplaySchedule(batch_size=4, support_size=2, replay_interval=8,
+                              replay_rate=0.5)
+    arch = {"ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
+    model = Classifier(ModelConfig(input_dim=4, encoder_dims=(6,), architecture=arch,
+                                   nm_hidden_dim=4, loss_mode=LossMode.CANDIDATE_BCE))
+    cfg = LearnerConfig(method, schedule, inner_lr=0.05, outer_lr=0.01)
+    accs, params, memory, trace, _ = run(model, _candidate_suite(), cfg, seed=0,
+                                         combined_test=combined)
+    assert len(accs) == (1 if combined else 3)
+    assert all(0.0 <= a <= 1.0 for a in accs)
+    assert trace.optimizer_steps > 0
+    assert params.tensors["head.W"].shape == (6, 1)
+    if memory is not None:
+        assert memory.sample(2).features.shape == (2, 3, 4)
+
+
+def test_candidate_tasks_with_different_k_are_rejected(small_schedule):
+    suite = _candidate_suite(ks=(3, 4, 3))
+    with pytest.raises(InputError, match="candidate count"):
+        BatchStream(suite.train, StreamConfig((0, 1, 2), 4))
+    model = Classifier(ModelConfig(input_dim=4, loss_mode=LossMode.CANDIDATE_BCE))
+    with pytest.raises(InputError, match="candidate count"):
+        run(model, suite, LearnerConfig("SEQ", small_schedule), seed=0)

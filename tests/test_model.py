@@ -5,7 +5,7 @@ import pytest
 
 from metareplay.model import NM_OUTPUT_BIAS, Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, Partition
-from metareplay.stream import Batch, CandidateBatch
+from metareplay.stream import Batch
 
 RNG = np.random.default_rng(7)
 
@@ -117,14 +117,19 @@ def test_candidate_mode_scores_and_accuracy():
     _set(params, "head.W", [[1.0], [1.0]])
     _set(params, "head.b", [0.0])
     # Candidate score = sum of positive coordinates; the larger row wins.
-    batch = CandidateBatch(
-        (np.array([[1.0, 1.0], [3.0, 0.0]]), np.array([[0.5, 0.5], [0.0, 0.1]])),
+    batch = Batch(
+        np.array([[[1.0, 1.0], [3.0, 0.0]], [[0.5, 0.5], [0.0, 0.1]]]),
         np.array([1, 1]),
     )
     scores, _ = clf.predict(params, batch)
-    assert [int(np.argmax(s)) for s in scores] == [1, 0]
+    np.testing.assert_allclose(scores, [[2.0, 3.0], [1.0, 0.1]])
+    assert scores.argmax(axis=1).tolist() == [1, 0]
     # Predictions are (1, 0) against positives (1, 1): one of two correct.
     assert clf.accuracy(params, batch) == pytest.approx(0.5)
+    with pytest.raises(InputError):  # label outside [0, K)
+        clf.loss_and_grad(params, Batch(batch.features, np.array([0, 2])), {Partition.HEAD})
+    with pytest.raises(InputError):  # (n, d) features are not candidate lists
+        clf.predict(params, Batch(batch.features[0], np.array([0, 1])))
 
 
 def test_training_step_reduces_loss():

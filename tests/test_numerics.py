@@ -220,12 +220,3 @@ def test_grad_check_accepts_true_gradient_and_rejects_wrong_one():
 def test_parameter_set_requires_matching_partitions():
     with pytest.raises(InputError):
         ParameterSet({"a": np.zeros(2)}, {})
-
-
-def test_names_in_filters_and_sorts():
-    ps = ParameterSet(
-        {"b": np.zeros(1), "a": np.zeros(1), "h": np.zeros(1)},
-        {"b": Partition.ENCODER, "a": Partition.ENCODER, "h": Partition.HEAD},
-    )
-    assert ps.names_in({Partition.ENCODER}) == ["a", "b"]
-    assert ps.names_in({Partition.HEAD}) == ["h"]
