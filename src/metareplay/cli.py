@@ -175,7 +175,7 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
         parts = set(params.partitions.values())
         _, grads = clf.loss_and_grad(params, batch, parts)
         err = grad_check(params, lambda p: clf.loss_and_grad(p, batch, parts)[0],
-                         grads, eps=eps)
+                         grads, parts, eps=eps)
         worst = max(worst, err)
     print(f"grad-check: {trials} trials, max relative error {worst:.3e}", file=file)
     return worst

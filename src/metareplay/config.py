@@ -56,6 +56,17 @@ _SCHEMA = {
     "save_checkpoints": False,
 }
 
+# Value types of the keys whose default shows none: required keys and None
+# defaults (which also accept null). A one-element list means "a list of".
+_TYPES = {
+    "method": str,
+    "dataset.train_files": [str],
+    "dataset.test_files": [str],
+    "dataset.featurizer.truncate": int,
+    "model.architecture": str,
+    "orders": [[int]],
+}
+
 _ARCH_FOR_METHOD = {
     "OML_ER": "OML",
     "ANML_ER": "ANML",
@@ -67,6 +78,37 @@ _ARCH_FOR_METHOD = {
 }
 
 
+def _type_of(default):
+    """The value type a default stands for; a list's from its first entry."""
+    return [_type_of(default[0])] if isinstance(default, list) else type(default)
+
+
+def _matches(value, expected) -> bool:
+    """JSON-value type check: ints count as floats, booleans never as numbers."""
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(_matches(v, expected[0]) for v in value)
+    if expected in (int, float) and isinstance(value, bool):
+        return False
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
+def _describe(expected) -> str:
+    if isinstance(expected, list):
+        return f"list[{_describe(expected[0])}]"
+    return expected.__name__
+
+
+def _check_type(key: str, value, default) -> None:
+    if value is None and default is None:
+        return
+    expected = _TYPES.get(key) or _type_of(default)
+    if not _matches(value, expected):
+        raise InputError(f"config key {key} must be of type {_describe(expected)}, "
+                         f"got {value!r}")
+
+
 def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
     out = {}
     for key, value in raw.items():
@@ -76,6 +118,8 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
         if isinstance(spec, dict) and isinstance(value, dict):
             out[key] = _apply_schema(value, spec, f"{path}{key}.")
         else:
+            if not isinstance(spec, dict):
+                _check_type(f"{path}{key}", value, spec)
             out[key] = value
     for key, spec in schema.items():
         if key in out:
@@ -115,6 +159,9 @@ class RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
+    """Validate a raw config; every rejected input fails here, before training."""
+    if not isinstance(raw, dict):
+        raise InputError("config must be a JSON object")
     cfg = _apply_schema(raw, _SCHEMA)
     method = cfg["method"]
     if method not in METHODS:
@@ -128,6 +175,10 @@ def parse_config(raw: dict) -> RunConfig:
     dataset_spec = cfg.get("dataset")
     if has_dataset and len(dataset_spec["train_files"]) != len(dataset_spec["test_files"]):
         raise InputError("train_files and test_files must pair up per task")
+    if has_dataset and not dataset_spec["train_files"]:
+        raise InputError("dataset needs at least one task file")
+    if has_suite and suite_spec["test_per_class"] < 1:
+        raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
 
     learner = LearnerConfig(
         method=method,

@@ -9,14 +9,9 @@ import numpy as np
 from .numerics import InputError
 
 
-def flatten_grads(grads: dict) -> np.ndarray:
-    """Concatenate a gradient map into one vector, in sorted key order."""
-    return np.concatenate([np.ravel(grads[k]) for k in sorted(grads)])
-
-
 @dataclass
 class AlignmentSample:
-    """Dot product, norms, and cosine of two flattened gradient vectors."""
+    """Dot product, norms, and cosine of two gradient vectors."""
 
     step: int
     dot: float
@@ -29,16 +24,16 @@ class AlignmentSample:
         return self.dot / denom if denom > 0 else 0.0
 
 
-def grad_dot(g1: dict, g2: dict, step: int = 0) -> AlignmentSample:
-    """Alignment between two gradient maps over identical key sets.
+def grad_dot(g1: np.ndarray, g2: np.ndarray, step: int = 0) -> AlignmentSample:
+    """Alignment between two gradient vectors over the same parameter span.
 
     Positive dot products indicate transfer between the two objectives,
     negative ones interference.
     """
-    if set(g1) != set(g2):
-        raise InputError("gradient maps must share the same keys")
-    a, b = flatten_grads(g1), flatten_grads(g2)
-    return AlignmentSample(step, float(a @ b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    if g1.shape != g2.shape:
+        raise InputError("gradients must cover the same parameter span")
+    return AlignmentSample(step, float(g1 @ g2), float(np.linalg.norm(g1)),
+                           float(np.linalg.norm(g2)))
 
 
 def macro_accuracy(per_task: list) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import AlignmentSample, flatten_grads, grad_dot
+from .diagnostics import AlignmentSample, grad_dot
 from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
 from .model import Classifier
@@ -45,6 +45,10 @@ class LearnerConfig:
             raise InputError("MTL needs epochs >= 1")
         if self.method != "MTL" and self.epochs != 1:
             raise InputError("continual methods are single-pass (epochs must be 1)")
+        if (self.method in META_METHODS and not self.no_meta_test_finetune
+                and self.p_write == 0):
+            raise InputError("p_write 0 leaves memory empty, but meta-test fine-tuning "
+                             "samples from it (set ablations.no_meta_test_finetune)")
 
 
 @dataclass
@@ -75,15 +79,16 @@ def inner_adapt(model, params, support, alpha: float):
     parts = model.inner_partitions()
     for batch in support:
         _, grads = model.loss_and_grad(adapted, batch, parts)
-        sgd_step(adapted, grads, alpha)
+        sgd_step(adapted, grads, alpha, parts)
     return adapted
 
 
 def meta_outer_step(model, params, adapted, query, beta: float) -> float:
     """First-order meta update: gradients at the adapted parameters, applied
     to the original ones via Adam. Returns the query loss."""
-    loss, grads = model.loss_and_grad(adapted, query, model.outer_partitions())
-    adam_step(params, grads, beta)
+    parts = model.outer_partitions()
+    loss, grads = model.loss_and_grad(adapted, query, parts)
+    adam_step(params, grads, beta, parts)
     return loss
 
 
@@ -136,13 +141,9 @@ def _support_query_alignment(model, params, ep: Episode, step: int) -> Alignment
     at the current parameters (the quantity sparse replay tries to keep
     positive). Diagnostics only; doubles the gradient work on the episode."""
     parts = model.outer_partitions()
-    total = None
-    for batch in ep.support:
-        _, g = model.loss_and_grad(params, batch, parts)
-        if total is None:
-            total = g
-        else:
-            total = {k: total[k] + g[k] for k in g}
+    _, total = model.loss_and_grad(params, ep.support[0], parts)
+    for batch in ep.support[1:]:
+        total += model.loss_and_grad(params, batch, parts)[1]
     _, gq = model.loss_and_grad(params, ep.query, parts)
     return grad_dot(total, gq, step)
 
@@ -183,30 +184,22 @@ def _concat_tasks(tasks):
 # Baselines
 # ---------------------------------------------------------------------------
 
-def agem_project(g: dict, g_ref: dict):
-    """A-GEM projection on flattened gradients.
+def agem_project(g: np.ndarray, g_ref: np.ndarray):
+    """A-GEM projection of one gradient vector against a reference over the
+    same span.
 
     If dot(g, g_ref) < 0, returns (g - (g.g_ref / g_ref.g_ref) g_ref, True);
     otherwise g is returned unchanged. A zero-norm reference skips projection.
     """
-    flat_g = flatten_grads(g)
-    flat_ref = flatten_grads(g_ref)
-    dot = float(flat_g @ flat_ref)
+    if g.shape != g_ref.shape:
+        raise InputError("gradients must cover the same parameter span")
+    dot = float(g @ g_ref)
     if dot >= 0:
         return g, False
-    ref_sq = float(flat_ref @ flat_ref)
+    ref_sq = float(g_ref @ g_ref)
     if ref_sq == 0.0:
         return g, False
-    scale = dot / ref_sq
-    keys = sorted(g)
-    projected = {}
-    offset = 0
-    for k in keys:
-        size = g[k].size
-        chunk = flat_g[offset:offset + size] - scale * flat_ref[offset:offset + size]
-        projected[k] = chunk.reshape(g[k].shape)
-        offset += size
-    return projected, True
+    return g - (dot / ref_sq) * g_ref, True
 
 
 def train_sequential(model, tasks, config: LearnerConfig, seed: int,
@@ -241,13 +234,13 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
             grads, violated = agem_project(grads, g_ref)
             if violated:
                 trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
-        adam_step(params, grads, config.outer_lr)
+        adam_step(params, grads, config.outer_lr, parts)
         trace.optimizer_steps += 1
         memory.write(batch, tid)
         if replay and step % cadence == 0 and len(memory) > 0:
             replay_batch = memory.sample(schedule.replay_batch_size)
             _, grads = model.loss_and_grad(params, replay_batch, parts)
-            adam_step(params, grads, config.outer_lr)
+            adam_step(params, grads, config.outer_lr, parts)
             trace.optimizer_steps += 1
             trace.replay_episodes += 1
     return params, memory, trace
@@ -262,7 +255,7 @@ def train_mtl(model, tasks, config: LearnerConfig, seed: int):
     for batch in pooled_batches(tasks, config.schedule.batch_size, rngs["mtl"],
                                 epochs=config.epochs):
         _, grads = model.loss_and_grad(params, batch, parts)
-        adam_step(params, grads, config.outer_lr)
+        adam_step(params, grads, config.outer_lr, parts)
         trace.optimizer_steps += 1
     return params, None, trace
 

@@ -24,7 +24,6 @@ from .numerics import (
     NumericalError,
     ParameterSet,
     Partition,
-    linear_backward,
     linear_forward,
     relu,
     relu_backward,
@@ -177,39 +176,47 @@ class Classifier:
         cache["head_in"] = h
         return logits, cache
 
-    def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray, filter_parts: set):
+    def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray, parts: set):
+        """One gradient vector over ``params.span(parts)``, filled through
+        named views. Input gradients are formed only where a requested
+        partition lies below them."""
         cfg = self.config
         t = params.tensors
-        grads: dict[str, np.ndarray] = {}
+        span = params.span(parts)
+        flat = np.empty(span.stop - span.start)
+        grads = params.views(flat, parts)
 
-        dh, dWh, dbh = linear_backward(cache["head_in"], t["head.W"], dlogits)
-        if Partition.HEAD in filter_parts:
-            grads["head.W"] = dWh
-            grads["head.b"] = dbh
+        def weight_grads(layer, x, dz):
+            np.matmul(x.T, dz, out=grads[f"{layer}.W"])
+            np.add.reduce(dz, axis=0, out=grads[f"{layer}.b"])
+
+        if Partition.HEAD in parts:
+            weight_grads("head", cache["head_in"], dlogits)
+        if not parts - {Partition.HEAD}:
+            return flat
+        dh = dlogits @ t["head.W"].T
 
         if cfg.architecture == "ANML":
             gate = cache["gate"]
-            drep = dh * gate
-            if Partition.NM in filter_parts:
-                dgate = dh * cache["rep"]
-                dz2 = sigmoid_backward(gate, dgate)
-                da1, dW2, db2 = linear_backward(cache["nm_a1"], t["nm_out.W"], dz2)
-                grads["nm_out.W"] = dW2
-                grads["nm_out.b"] = db2
-                dz1 = relu_backward(cache["nm_z1"], da1)
-                _, dW1, db1 = linear_backward(cache["nm_a0"], t["nm_mid.W"], dz1)
-                grads["nm_mid.W"] = dW1
-                grads["nm_mid.b"] = db1
-            dh = drep
+            if parts & {Partition.NM, Partition.NM_FROZEN}:
+                dz2 = sigmoid_backward(gate, dh * cache["rep"])
+                dz1 = relu_backward(cache["nm_z1"], dz2 @ t["nm_out.W"].T)
+                if Partition.NM in parts:
+                    weight_grads("nm_out", cache["nm_a1"], dz2)
+                    weight_grads("nm_mid", cache["nm_a0"], dz1)
+                if Partition.NM_FROZEN in parts:
+                    dz0 = relu_backward(cache["nm_z0"], dz1 @ t["nm_mid.W"].T)
+                    weight_grads("nm_in", cache["x"], dz0)
+            dh = dh * gate
 
         enc_part = Partition.ENCODER if cfg.architecture == "OML" else Partition.PN_ENCODER
-        if enc_part in filter_parts:
+        if enc_part in parts:
             for i in reversed(range(len(cfg.encoder_dims))):
                 dz = relu_backward(cache["enc_out"][i], dh)
-                dh, dW, db = linear_backward(cache["enc_in"][i], t[f"enc{i}.W"], dz)
-                grads[f"enc{i}.W"] = dW
-                grads[f"enc{i}.b"] = db
-        return grads
+                weight_grads(f"enc{i}", cache["enc_in"][i], dz)
+                if i:
+                    dh = dz @ t[f"enc{i}.W"].T
+        return flat
 
     def _scores(self, params: ParameterSet, x: np.ndarray):
         """Forward pass to per-example scores: (n, C) logits, or in
@@ -235,7 +242,8 @@ class Classifier:
         return scores, gate
 
     def loss_and_grad(self, params: ParameterSet, batch, partition_filter):
-        """Mean batch loss and analytic gradients for the filtered partitions."""
+        """Mean batch loss and its analytic gradient: one vector over
+        ``params.span(partition_filter)``, in the layout of ``params.flat``."""
         parts = set(partition_filter)
         if not parts:
             raise InputError("partition filter is empty")

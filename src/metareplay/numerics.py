@@ -7,7 +7,7 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from enum import Enum
 
 import numpy as np
@@ -40,32 +40,79 @@ class NumericalError(ArithmeticError):
         self.payload = payload or {}
 
 
-@dataclass
 class ParameterSet:
-    """Named parameter tensors with partition labels and Adam state.
+    """Named parameter tensors stored as views into one float64 vector.
 
-    Optimizer state (first/second moment, per-parameter step count) is
-    allocated lazily on the first Adam update of each parameter.
+    ``flat`` is laid out in sorted-name order with ``NM_FROZEN`` parameters
+    last, so every partition set a model trains (inner, outer, all) is one
+    contiguous slice, its ``span``; a gradient is one vector over a span.
+    ``tensors`` maps each name to a reshaped view into ``flat`` and keeps the
+    caller's insertion order, in which checkpoints are written.
+
+    Adam state is two moment vectors over a single span plus one step count,
+    allocated on the first Adam update; that update fixes the span.
     """
 
-    tensors: dict[str, np.ndarray]
-    partitions: dict[str, Partition]
-    adam_m: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_v: dict[str, np.ndarray] = field(default_factory=dict)
-    adam_t: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if set(self.tensors) != set(self.partitions):
+    def __init__(self, tensors: dict, partitions: dict):
+        if set(tensors) != set(partitions):
             raise InputError("every parameter needs exactly one partition label")
+        order = sorted(tensors, key=lambda n: (partitions[n] == Partition.NM_FROZEN, n))
+        slots, start = {}, 0
+        for name in order:
+            shape = np.shape(tensors[name])
+            stop = start + math.prod(shape)
+            slots[name], start = (start, stop, shape), stop
+        self.partitions = dict(partitions)
+        self._slots = {n: slots[n] for n in tensors}
+        self._layouts: dict = {}
+        self._set_flat(np.empty(start))
+        for name, t in tensors.items():
+            self.tensors[name][...] = t
+        self.adam_t = 0
+        self.adam_span = None
+        self.moments = None  # (2, span length): first and second moment
+        self._adam_tmp = None  # adam_step's work buffers, never copied by clone
+
+    def _set_flat(self, flat):
+        self.flat = flat
+        self.tensors = self.views(flat, set(self.partitions.values()))
+
+    def _layout(self, parts) -> tuple:
+        """(span, [(name, start, stop, shape) relative to the span]) of ``parts``."""
+        key = frozenset(parts)
+        layout = self._layouts.get(key)
+        if layout is None:
+            bounds = sorted(s[:2] for n, s in self._slots.items()
+                            if self.partitions[n] in key)
+            if not bounds:
+                raise InputError(f"no parameters in partitions {sorted(key)}")
+            if any(a[1] != b[0] for a, b in zip(bounds, bounds[1:])):
+                raise InputError(f"partitions {sorted(key)} are not one contiguous slice")
+            lo, hi = bounds[0][0], bounds[-1][1]
+            layout = self._layouts[key] = (slice(lo, hi), [
+                (n, a - lo, b - lo, shape) for n, (a, b, shape) in self._slots.items()
+                if lo <= a and b <= hi])
+        return layout
+
+    def span(self, parts) -> slice:
+        """The slice of ``flat`` holding exactly the parameters in ``parts``."""
+        return self._layout(parts)[0]
+
+    def views(self, vector: np.ndarray, parts) -> dict:
+        """Named, reshaped views into ``vector``, a vector over the span of ``parts``."""
+        return {n: vector[a:b].reshape(shape) for n, a, b, shape in self._layout(parts)[1]}
 
     def clone(self) -> "ParameterSet":
-        return ParameterSet(
-            tensors={n: t.copy() for n, t in self.tensors.items()},
-            partitions=dict(self.partitions),
-            adam_m={n: t.copy() for n, t in self.adam_m.items()},
-            adam_v={n: t.copy() for n, t in self.adam_v.items()},
-            adam_t=dict(self.adam_t),
-        )
+        twin = object.__new__(ParameterSet)
+        twin.partitions = self.partitions
+        twin._slots = self._slots
+        twin._layouts = self._layouts
+        twin._set_flat(self.flat.copy())
+        twin.adam_t = self.adam_t
+        twin.adam_span = self.adam_span
+        twin.moments = None if self.moments is None else self.moments.copy()
+        twin._adam_tmp = None
+        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -142,46 +189,62 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def sgd_step(params: ParameterSet, grads: dict, alpha: float) -> ParameterSet:
-    """In-place SGD: p <- p - alpha * g for every parameter in ``grads``.
+def _span_and_check(params: ParameterSet, grads: np.ndarray, parts) -> slice:
+    span = params.span(parts)
+    if np.shape(grads) != (span.stop - span.start,):
+        raise InputError(f"gradient shape {np.shape(grads)} does not match span {span}")
+    return span
 
-    Parameters without a gradient entry are untouched.
+
+def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> ParameterSet:
+    """In-place SGD: p <- p - alpha * g over the span of ``parts``.
+
+    ``grads`` is one vector over that span; other parameters are untouched.
     """
     if alpha < 0:
         raise InputError("alpha must be non-negative")
-    for name, g in grads.items():
-        p = params.tensors[name]
-        if p.shape != g.shape:
-            raise InputError(f"gradient shape mismatch for {name}")
-        p -= alpha * g
+    p = params.flat[_span_and_check(params, grads, parts)]
+    p -= alpha * grads
     return params
 
 
-def adam_step(params: ParameterSet, grads: dict, beta: float) -> ParameterSet:
-    """In-place Adam update with bias correction.
+def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> ParameterSet:
+    """In-place Adam update with bias correction over the span of ``parts``.
 
-    Moments and step counts advance only for parameters present in
-    ``grads``; state persists on the ParameterSet across calls.
+    State persists on the ParameterSet across calls. The first call fixes
+    the span the moments cover; a call over another span is an InputError.
     """
     if beta < 0:
         raise InputError("beta must be non-negative")
-    for name, g in grads.items():
-        p = params.tensors[name]
-        if p.shape != g.shape:
-            raise InputError(f"gradient shape mismatch for {name}")
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient for {name}")
-        m = params.adam_m.setdefault(name, np.zeros_like(p))
-        v = params.adam_v.setdefault(name, np.zeros_like(p))
-        t = params.adam_t.get(name, 0) + 1
-        params.adam_t[name] = t
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p -= beta * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    span = _span_and_check(params, grads, parts)
+    if not np.all(np.isfinite(grads)):
+        raise NumericalError(f"non-finite gradient over parameters {span}")
+    if params.moments is None:
+        params.adam_span = span
+        params.moments = np.zeros((2, grads.size))
+    elif span != params.adam_span:
+        raise InputError(f"Adam state covers {params.adam_span}, not {span}")
+    if params._adam_tmp is None:
+        params._adam_tmp = np.empty((2, grads.size))
+    m, v = params.moments
+    a, b = params._adam_tmp
+    params.adam_t += 1
+    t = params.adam_t
+    m *= ADAM_BETA1
+    np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    a *= grads
+    v += a
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=a)
+    np.sqrt(a, out=a)
+    a += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=b)
+    b *= beta
+    b /= a
+    p = params.flat[span]
+    p -= b
     return params
 
 
@@ -189,29 +252,25 @@ def adam_step(params: ParameterSet, grads: dict, beta: float) -> ParameterSet:
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
-def grad_check(params: ParameterSet, loss_fn, grads: dict, eps: float = 1e-4) -> float:
+def grad_check(params: ParameterSet, loss_fn, grads: np.ndarray, parts,
+               eps: float = 1e-4) -> float:
     """Max relative error between ``grads`` and central finite differences.
 
-    ``loss_fn(params)`` must return a scalar loss; ``grads`` are the analytic
-    gradients to verify. Every entry of every checked tensor is perturbed.
+    ``loss_fn(params)`` must return a scalar loss; ``grads`` is the analytic
+    gradient over the span of ``parts``. Every entry in the span is perturbed.
     """
     if eps <= 0:
         raise InputError("eps must be positive")
+    p = params.flat[_span_and_check(params, grads, parts)]
     worst = 0.0
-    for name, g in grads.items():
-        p = params.tensors[name]
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + eps
-            lo_hi = loss_fn(params)
-            p[idx] = orig - eps
-            lo_lo = loss_fn(params)
-            p[idx] = orig
-            fd = (lo_hi - lo_lo) / (2.0 * eps)
-            a = g[idx]
-            rel = abs(a - fd) / max(abs(a), abs(fd), 1e-12)
-            worst = max(worst, rel)
-            it.iternext()
+    for i, a in enumerate(grads):
+        orig = p[i]
+        p[i] = orig + eps
+        lo_hi = loss_fn(params)
+        p[i] = orig - eps
+        lo_lo = loss_fn(params)
+        p[i] = orig
+        fd = (lo_hi - lo_lo) / (2.0 * eps)
+        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-12)
+        worst = max(worst, rel)
     return worst

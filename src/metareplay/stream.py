@@ -58,7 +58,6 @@ class TaskSpec:
 class StreamConfig:
     order: tuple          # permutation of positions into the task list
     batch_size: int
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class BatchStream:
     tagging. Each example is emitted exactly once.
     """
 
-    def __init__(self, tasks, config: StreamConfig, rng: np.random.Generator | None = None):
+    def __init__(self, tasks, config: StreamConfig, rng: np.random.Generator):
         if not tasks:
             raise InputError("empty task list")
         if sorted(config.order) != list(range(len(tasks))):
@@ -110,7 +109,7 @@ class BatchStream:
             raise InputError("all tasks need one feature shape (one candidate count K per run)")
         self.tasks = [tasks[i] for i in config.order]
         self.config = config
-        self._rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._rng = rng
 
     def total_batches(self) -> int:
         b = self.config.batch_size

@@ -34,7 +34,7 @@ class QuadraticModel:
         A, c = batch
         theta = params.tensors["theta"]
         loss = float(0.5 * theta @ A @ theta + c @ theta)
-        return loss, {"theta": A @ theta + c}
+        return loss, A @ theta + c
 
 
 def random_spd(rng, dim: int, scale: float = 1.0) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Checkpoint round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,23 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
         np.testing.assert_array_equal(loaded.tensors[name], t)
         assert loaded.tensors[name].dtype == t.dtype
     assert loaded.partitions == params.partitions
+
+
+@pytest.mark.parametrize("architecture", ["OML", "ANML"])
+def test_checkpoint_bytes_match_a_dict_built_parameter_set(tmp_path, architecture):
+    """Views into one buffer save exactly like separately owned arrays, in
+    init_params order (not the buffer's sorted order)."""
+    config = ModelConfig(input_dim=5, encoder_dims=(7, 3), num_classes=4,
+                         architecture=architecture, nm_hidden_dim=6)
+    params = Classifier(config).init_params(np.random.default_rng(4))
+    as_dicts = SimpleNamespace(tensors={n: t.copy() for n, t in params.tensors.items()},
+                               partitions=dict(params.partitions))
+    save_checkpoint(tmp_path / "flat.npz", params, config)
+    save_checkpoint(tmp_path / "dicts.npz", as_dicts, config)
+    assert (tmp_path / "flat.npz").read_bytes() == (tmp_path / "dicts.npz").read_bytes()
+    with np.load(tmp_path / "flat.npz") as data:
+        assert [k for k in data.files if k.startswith("tensor/")] == [
+            f"tensor/{n}" for n in params.tensors]
 
 
 def test_checkpoint_preserves_loss_mode(tmp_path):

@@ -165,6 +165,66 @@ def test_cli_rejects_loss_mode_key_with_exit_code_2(tmp_path, capsys):
     assert "model.loss_mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [
+    {"schedule": {"batch_size": "16", "support_size": 3, "replay_interval": 80,
+                  "replay_rate": 0.1}},
+    {"combined_test": "yes"},
+])
+def test_cli_rejects_mistyped_values_with_exit_code_2(tmp_path, capsys, over):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal(**over)))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "must be of type" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_value_types_follow_the_defaults():
+    def parsed(**over):
+        return parse_config(_minimal(**over))
+
+    assert parsed(learning={"outer_lr": 1}).learner.outer_lr == 1  # int for a float
+    assert parsed(model={"architecture": None}).model.architecture == "OML"
+    assert parsed(orders=None).orders == [[0, 1, 2]]
+    for bad in ({"learning": {"epochs": True}},        # a bool is not an int
+                {"learning": {"epochs": 1.0}},         # nor is a float
+                {"model": {"encoder_dims": [8, "4"]}},
+                {"model": {"architecture": 3}},
+                {"seeds": [0, None]},
+                {"orders": [0, 1, 2]},
+                {"record_alignment": 1}):
+        with pytest.raises(InputError, match="must be of type"):
+            parsed(**bad)
+    with pytest.raises(InputError, match="must be of type"):
+        parse_config({"method": "SEQ", "dataset": {"train_files": ["a.tsv", 2],
+                                                   "test_files": ["b.tsv", "c.tsv"]}})
+    with pytest.raises(InputError):
+        parse_config([_minimal()])
+
+
+@pytest.mark.parametrize("over", [
+    {"method": "OML_ER", "suite": {"num_tasks": 2, "examples_per_class": 20,
+                                   "test_per_class": 0}},
+    {"method": "ANML_ER", "memory": {"p_write": 0}},
+    {"method": "SEQ", "dataset": {"train_files": [], "test_files": []}, "suite": None},
+])
+def test_cli_rejects_unusable_runs_before_training(tmp_path, over):
+    config = _minimal(**over)
+    if config["suite"] is None:
+        del config["suite"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_p_write_zero_runs_without_meta_test_finetuning():
+    rc = parse_config(_minimal(method="OML_ER", memory={"p_write": 0},
+                               ablations={"no_meta_test_finetune": True}))
+    assert rc.learner.p_write == 0
+
+
 def test_cli_schedule_info_subcommand(capsys):
     assert main(["schedule-info", "--replay-interval", "1600", "--batch-size", "4",
                  "--support-size", "5", "--replay-rate", "0.01"]) == 0

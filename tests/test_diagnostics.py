@@ -6,36 +6,49 @@ import pytest
 from metareplay.diagnostics import (
     AlignmentSample,
     MetricsRecord,
-    flatten_grads,
     gate_stats,
     grad_dot,
     macro_accuracy,
 )
-from metareplay.model import GateRecord
-from metareplay.numerics import InputError
+from metareplay.model import Classifier, GateRecord, ModelConfig
+from metareplay.numerics import InputError, Partition
+from metareplay.stream import Batch
 
 
 def test_flatten_is_sorted_by_key():
-    grads = {"b": np.array([3.0, 4.0]), "a": np.array([[1.0], [2.0]])}
-    np.testing.assert_array_equal(flatten_grads(grads), [1.0, 2.0, 3.0, 4.0])
+    """A gradient vector is its named tensors concatenated in sorted-name
+    order, the order alignment dot products were always taken in."""
+    clf = Classifier(ModelConfig(input_dim=3, encoder_dims=(4, 3), num_classes=2,
+                                 architecture="ANML", nm_hidden_dim=2))
+    rng = np.random.default_rng(0)
+    params = clf.init_params(rng)
+    batch = Batch(rng.standard_normal((5, 3)), rng.integers(0, 2, size=5))
+    parts = clf.outer_partitions()
+    _, g = clf.loss_and_grad(params, batch, parts)
+    named = params.views(g, parts)
+    assert sorted(named) == ["enc0.W", "enc0.b", "enc1.W", "enc1.b", "head.W", "head.b",
+                             "nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"]
+    np.testing.assert_array_equal(g, np.concatenate([named[k].ravel() for k in sorted(named)]))
+    # Every parameter: sorted names, the frozen NM projection last.
+    order = sorted(params.tensors, key=lambda n: (n.startswith("nm_in"), n))
+    np.testing.assert_array_equal(
+        params.flat, np.concatenate([params.tensors[k].ravel() for k in order]))
+    assert params.partitions["nm_in.W"] == Partition.NM_FROZEN
 
 
 def test_grad_dot_against_numpy_oracle():
     rng = np.random.default_rng(0)
-    g1 = {"x": rng.standard_normal((2, 3)), "y": rng.standard_normal(4)}
-    g2 = {"x": rng.standard_normal((2, 3)), "y": rng.standard_normal(4)}
-    sample = grad_dot(g1, g2, step=7)
-    a = np.concatenate([g1["x"].ravel(), g1["y"]])
-    b = np.concatenate([g2["x"].ravel(), g2["y"]])
+    a, b = rng.standard_normal(10), rng.standard_normal(10)
+    sample = grad_dot(a, b, step=7)
     assert sample.step == 7
     assert sample.dot == pytest.approx(float(a @ b))
     assert sample.cosine == pytest.approx(
         float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def test_grad_dot_requires_matching_keys():
+def test_grad_dot_requires_matching_spans():
     with pytest.raises(InputError):
-        grad_dot({"a": np.ones(2)}, {"b": np.ones(2)})
+        grad_dot(np.ones(2), np.ones(3))
 
 
 def test_cosine_of_zero_vectors_is_zero():

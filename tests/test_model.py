@@ -102,10 +102,16 @@ def test_gradients_respect_partition_filter():
     params = clf.init_params(RNG)
     batch = Batch(RNG.standard_normal((5, 3)), RNG.integers(0, 2, size=5))
     _, g_head = clf.loss_and_grad(params, batch, {Partition.HEAD})
-    assert set(g_head) == {"head.W", "head.b"}
-    _, g_all = clf.loss_and_grad(params, batch, clf.outer_partitions())
-    assert "nm_mid.W" in g_all and "enc0.W" in g_all
-    assert "nm_in.W" not in g_all  # frozen projection never gets a gradient
+    assert g_head.shape == (4 * 2 + 2,)
+    assert set(params.views(g_head, {Partition.HEAD})) == {"head.W", "head.b"}
+    outer = clf.outer_partitions()
+    _, g_outer = clf.loss_and_grad(params, batch, outer)
+    # The frozen projection sits outside the outer span.
+    assert set(params.views(g_outer, outer)) == {
+        "enc0.W", "enc0.b", "head.W", "head.b",
+        "nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"}
+    with pytest.raises(InputError):  # encoder and NM are separated by the head
+        clf.loss_and_grad(params, batch, {Partition.PN_ENCODER, Partition.NM})
 
 
 def test_candidate_mode_scores_and_accuracy():
@@ -139,7 +145,7 @@ def test_training_step_reduces_loss():
     parts = clf.outer_partitions()
     loss0, grads = clf.loss_and_grad(params, batch, parts)
     from metareplay.numerics import sgd_step
-    sgd_step(params, grads, 0.5)
+    sgd_step(params, grads, 0.5, parts)
     loss1, _ = clf.loss_and_grad(params, batch, parts)
     assert loss1 < loss0
 

@@ -142,15 +142,18 @@ def _param(vec):
     return ParameterSet({"p": np.array(vec, dtype=float)}, {"p": Partition.HEAD})
 
 
+HEAD = {Partition.HEAD}
+
+
 def test_sgd_step_updates_in_place():
     params = _param([1.0, 2.0])
-    sgd_step(params, {"p": np.array([0.5, -1.0])}, 0.1)
+    sgd_step(params, np.array([0.5, -1.0]), 0.1, HEAD)
     np.testing.assert_allclose(params.tensors["p"], [0.95, 2.1])
 
 
 def test_sgd_step_shape_mismatch_raises():
     with pytest.raises(InputError):
-        sgd_step(_param([1.0, 2.0]), {"p": np.zeros(3)}, 0.1)
+        sgd_step(_param([1.0, 2.0]), np.zeros(3), 0.1, HEAD)
 
 
 def _reference_adam(p0, grads, beta):
@@ -172,10 +175,10 @@ def test_adam_matches_reference_over_many_steps():
     grads = [RNG.standard_normal(6) for _ in range(25)]
     params = _param(p0)
     for g in grads:
-        adam_step(params, {"p": g}, beta=0.01)
+        adam_step(params, g, 0.01, HEAD)
     np.testing.assert_allclose(params.tensors["p"], _reference_adam(p0, grads, 0.01),
                                rtol=1e-12)
-    assert params.adam_t["p"] == 25
+    assert params.adam_t == 25
 
 
 def test_adam_first_step_size_is_beta():
@@ -183,23 +186,23 @@ def test_adam_first_step_size_is_beta():
     # regardless of the gradient scale.
     for scale in (1e-4, 1.0, 1e4):
         params = _param([0.0])
-        adam_step(params, {"p": np.array([scale])}, beta=0.01)
+        adam_step(params, np.array([scale]), 0.01, HEAD)
         assert params.tensors["p"][0] == pytest.approx(-0.01, rel=1e-3)
 
 
 def test_adam_beta_zero_is_identity_for_values():
     params = _param([3.0, -2.0])
-    adam_step(params, {"p": np.array([1.0, 1.0])}, beta=0.0)
+    adam_step(params, np.array([1.0, 1.0]), 0.0, HEAD)
     np.testing.assert_allclose(params.tensors["p"], [3.0, -2.0])
-    assert params.adam_t["p"] == 1  # state still advances
+    assert params.adam_t == 1  # state still advances
 
 
 def test_adam_state_survives_clone():
     params = _param([1.0])
-    adam_step(params, {"p": np.array([1.0])}, beta=0.1)
+    adam_step(params, np.array([1.0]), 0.1, HEAD)
     clone = params.clone()
-    adam_step(clone, {"p": np.array([1.0])}, beta=0.1)
-    assert params.adam_t["p"] == 1 and clone.adam_t["p"] == 2
+    adam_step(clone, np.array([1.0]), 0.1, HEAD)
+    assert params.adam_t == 1 and clone.adam_t == 2
     assert params.tensors["p"][0] != clone.tensors["p"][0]
 
 
@@ -211,12 +214,114 @@ def test_grad_check_accepts_true_gradient_and_rejects_wrong_one():
         th = p.tensors["p"]
         return float(0.5 * th @ A @ th)
 
-    good = {"p": A @ params.tensors["p"]}
-    assert grad_check(params, loss, good, eps=1e-5) < 1e-8
-    bad = {"p": good["p"] + 0.1}
-    assert grad_check(params, loss, bad, eps=1e-5) > 1e-3
+    good = A @ params.tensors["p"]
+    assert grad_check(params, loss, good, HEAD, eps=1e-5) < 1e-8
+    assert grad_check(params, loss, good + 0.1, HEAD, eps=1e-5) > 1e-3
 
 
 def test_parameter_set_requires_matching_partitions():
     with pytest.raises(InputError):
         ParameterSet({"a": np.zeros(2)}, {})
+
+
+# -- one contiguous buffer against the per-tensor loops it replaced ------------
+
+def _anml_params(seed=3):
+    from metareplay.model import Classifier, ModelConfig
+
+    clf = Classifier(ModelConfig(input_dim=5, encoder_dims=(4, 3), num_classes=3,
+                                 architecture="ANML", nm_hidden_dim=4))
+    return clf, clf.init_params(np.random.default_rng(seed))
+
+
+def _random_grads(rng, params, parts):
+    """Per-name gradients for ``parts`` and their sorted-name concatenation."""
+    named = {n: rng.standard_normal(t.shape) for n, t in params.tensors.items()
+             if params.partitions[n] in parts}
+    return named, np.concatenate([named[n].ravel() for n in sorted(named)])
+
+
+def test_flat_adam_equals_per_tensor_loop():
+    clf, params = _anml_params()
+    parts = clf.outer_partitions()
+    ref = {n: t.copy() for n, t in params.tensors.items()}
+    m, v = {}, {}
+    rng = np.random.default_rng(8)
+    for t in range(1, 26):
+        named, flat = _random_grads(rng, params, parts)
+        adam_step(params, flat, 0.01, parts)
+        for n, g in named.items():  # the per-tensor update, same op order
+            mn = m.setdefault(n, np.zeros_like(g))
+            vn = v.setdefault(n, np.zeros_like(g))
+            mn *= ADAM_BETA1
+            mn += (1.0 - ADAM_BETA1) * g
+            vn *= ADAM_BETA2
+            vn += (1.0 - ADAM_BETA2) * g * g
+            ref[n] -= (0.01 * (mn / (1.0 - ADAM_BETA1 ** t))
+                       / (np.sqrt(vn / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS))
+    assert params.adam_t == 25
+    for n in ref:  # the frozen projection is untouched in both
+        np.testing.assert_array_equal(params.tensors[n], ref[n])
+
+
+def test_flat_sgd_equals_per_tensor_loop():
+    clf, params = _anml_params()
+    parts = clf.inner_partitions()
+    ref = {n: t.copy() for n, t in params.tensors.items()}
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        named, flat = _random_grads(rng, params, parts)
+        sgd_step(params, flat, 0.05, parts)
+        for n, g in named.items():
+            ref[n] -= 0.05 * g
+    for n in ref:
+        np.testing.assert_array_equal(params.tensors[n], ref[n])
+
+
+def test_flat_agem_and_grad_dot_equal_sorted_concatenation():
+    from metareplay.diagnostics import grad_dot
+    from metareplay.learners import agem_project
+
+    clf, params = _anml_params()
+    parts = clf.outer_partitions()
+    rng = np.random.default_rng(10)
+    projected_any = False
+    for _ in range(25):
+        g, flat_g = _random_grads(rng, params, parts)
+        g_ref, flat_ref = _random_grads(rng, params, parts)
+        # The dict-based projection: flatten in sorted order, unflatten back.
+        dot = float(flat_g @ flat_ref)
+        ref_sq = float(flat_ref @ flat_ref)
+        expected = {}
+        for k in sorted(g):
+            expected[k] = g[k] - (dot / ref_sq) * g_ref[k] if dot < 0 else g[k]
+        projected, violated = agem_project(flat_g, flat_ref)
+        assert violated == (dot < 0)
+        projected_any |= violated
+        np.testing.assert_array_equal(
+            projected, np.concatenate([expected[k].ravel() for k in sorted(expected)]))
+        sample = grad_dot(flat_g, flat_ref, 3)
+        assert (sample.dot, sample.norm_a, sample.norm_b) == (
+            dot, float(np.linalg.norm(flat_g)), float(np.linalg.norm(flat_ref)))
+    assert projected_any
+
+
+def test_adam_over_a_second_span_raises():
+    clf, params = _anml_params()
+    outer, inner = clf.outer_partitions(), clf.inner_partitions()
+    adam_step(params, np.zeros_like(params.flat[params.span(outer)]), 0.1, outer)
+    with pytest.raises(InputError):
+        adam_step(params, np.zeros_like(params.flat[params.span(inner)]), 0.1, inner)
+    assert params.adam_t == 1
+
+
+def test_clone_copies_one_buffer():
+    _, params = _anml_params()
+    before = params.flat.copy()
+    twin = params.clone()
+    twin.tensors["head.W"] += 1.0
+    assert not np.shares_memory(twin.flat, params.flat)
+    np.testing.assert_array_equal(params.flat, before)
+    np.testing.assert_array_equal(twin.flat[params.span({Partition.HEAD})][:2],
+                                  params.tensors["head.W"].ravel()[:2] + 1.0)
+    assert list(twin.tensors) == list(params.tensors)

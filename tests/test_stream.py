@@ -31,21 +31,21 @@ def _tasks(sizes, dim=3):
 
 def test_batch_count_matches_ceil_formula():
     tasks = _tasks([2000, 2000, 2000, 2000, 2000])
-    stream = BatchStream(tasks, StreamConfig(tuple(range(5)), 16))
+    stream = BatchStream(tasks, StreamConfig(tuple(range(5)), 16), np.random.default_rng(0))
     assert stream.total_batches() == 625
     assert sum(1 for _ in stream) == 625
 
 
 def test_batches_never_span_task_boundaries():
     tasks = _tasks([20, 33, 7])
-    stream = BatchStream(tasks, StreamConfig((0, 1, 2), 8))
+    stream = BatchStream(tasks, StreamConfig((0, 1, 2), 8), np.random.default_rng(0))
     for batch, tid in stream.with_task_ids():
         assert np.all(batch.labels == tid)  # labels double as task markers here
 
 
 def test_single_pass_emits_every_example_exactly_once():
     tasks = _tasks([25, 14])
-    stream = BatchStream(tasks, StreamConfig((1, 0), 4, seed=3))
+    stream = BatchStream(tasks, StreamConfig((1, 0), 4), np.random.default_rng(3))
     seen = np.vstack([b.features for b in stream])
     expected = np.vstack([t.features for t in tasks])
     # Same multiset of rows, regardless of shuffling.
@@ -57,7 +57,7 @@ def test_single_pass_emits_every_example_exactly_once():
 
 def test_order_controls_task_sequence():
     tasks = _tasks([8, 8])
-    stream = BatchStream(tasks, StreamConfig((1, 0), 8))
+    stream = BatchStream(tasks, StreamConfig((1, 0), 8), np.random.default_rng(0))
     tids = [tid for _, tid in stream.with_task_ids()]
     assert tids == [1, 0]
 
@@ -65,12 +65,12 @@ def test_order_controls_task_sequence():
 def test_invalid_order_and_empty_inputs_raise():
     tasks = _tasks([4, 4])
     with pytest.raises(InputError):
-        BatchStream(tasks, StreamConfig((0, 0), 2))
+        BatchStream(tasks, StreamConfig((0, 0), 2), np.random.default_rng(0))
     with pytest.raises(InputError):
-        BatchStream([], StreamConfig((), 2))
+        BatchStream([], StreamConfig((), 2), np.random.default_rng(0))
     with pytest.raises(InputError):
         BatchStream([TaskSpec(0, np.zeros((0, 2)), np.zeros(0, dtype=int))],
-                    StreamConfig((0,), 2))
+                    StreamConfig((0,), 2), np.random.default_rng(0))
 
 
 def test_batch_carries_only_features_and_labels():
