@@ -31,7 +31,8 @@ def trace_episodes(schedule: ReplaySchedule, n_batches: int):
             yield Batch(np.zeros((schedule.batch_size, 2)),
                         np.zeros(schedule.batch_size, dtype=int)), 0
 
-    memory = EpisodicMemory(1.0, np.random.default_rng(0), np.random.default_rng(1))
+    memory = EpisodicMemory(1.0, n_batches * schedule.batch_size,
+                            np.random.default_rng(0), np.random.default_rng(1))
     it = stream()
     index, marks = 0, []
     while True:

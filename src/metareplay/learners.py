@@ -16,7 +16,7 @@ import numpy as np
 from .diagnostics import AlignmentSample, grad_dot
 from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
-from .model import Classifier
+from .model import Classifier, score_accuracy
 from .numerics import InputError, adam_step, sgd_step
 from .rngs import named_rngs
 from .stream import BatchStream, StreamConfig, TaskSpec, pooled_batches
@@ -45,6 +45,8 @@ class LearnerConfig:
             raise InputError("MTL needs epochs >= 1")
         if self.method != "MTL" and self.epochs != 1:
             raise InputError("continual methods are single-pass (epochs must be 1)")
+        if not 0.0 <= self.p_write <= 1.0:
+            raise InputError("p_write must be in [0, 1]")
         if (self.method in META_METHODS and not self.no_meta_test_finetune
                 and self.p_write == 0):
             raise InputError("p_write 0 leaves memory empty, but meta-test fine-tuning "
@@ -105,7 +107,8 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
     schedule = config.schedule
     order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
     stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, rngs["memory_write"], rngs["memory_sample"])
+    memory = EpisodicMemory(config.p_write, sum(t.size for t in tasks),
+                            rngs["memory_write"], rngs["memory_sample"])
     trace = TrainingTrace()
 
     it = stream.with_task_ids()
@@ -166,10 +169,10 @@ def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig):
         eval_params = params
         if ep.support:
             eval_params = inner_adapt(model, params, ep.support, config.inner_lr)
-        _, gate = model.predict(eval_params, ep.query)
+        scores, gate = model.predict(eval_params, ep.query)
         if gate is not None:
             gate_records.append(gate)
-        return model.accuracy(eval_params, ep.query)
+        return score_accuracy(scores, ep.query.labels)
 
     return [evaluate(task) for task in test_tasks], gate_records
 
@@ -215,7 +218,8 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
     schedule = config.schedule
     order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
     stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, rngs["memory_write"], rngs["memory_sample"])
+    memory = EpisodicMemory(config.p_write, sum(t.size for t in tasks),
+                            rngs["memory_write"], rngs["memory_sample"])
     trace = TrainingTrace()
     parts = model.outer_partitions()
     replay = config.method == "REPLAY" and not config.no_replay

@@ -271,4 +271,9 @@ class Classifier:
     def accuracy(self, params: ParameterSet, batch) -> float:
         """Fraction of correct predictions on a batch."""
         scores, _ = self.predict(params, batch)
-        return float((scores.argmax(axis=1) == np.asarray(batch.labels)).mean())
+        return score_accuracy(scores, batch.labels)
+
+
+def score_accuracy(scores: np.ndarray, labels) -> float:
+    """Fraction of rows of ``predict``'s scores whose argmax is the label."""
+    return float((scores.argmax(axis=1) == np.asarray(labels)).mean())

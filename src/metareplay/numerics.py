@@ -103,14 +103,18 @@ class ParameterSet:
         return {n: vector[a:b].reshape(shape) for n, a, b, shape in self._layout(parts)[1]}
 
     def clone(self) -> "ParameterSet":
+        """A copy of the parameter values with fresh (empty) Adam state.
+
+        Clones are inner-loop working copies, which take SGD steps only.
+        """
         twin = object.__new__(ParameterSet)
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
         twin._set_flat(self.flat.copy())
-        twin.adam_t = self.adam_t
-        twin.adam_span = self.adam_span
-        twin.moments = None if self.moments is None else self.moments.copy()
+        twin.adam_t = 0
+        twin.adam_span = None
+        twin.moments = None
         twin._adam_tmp = None
         return twin
 
@@ -121,11 +125,6 @@ class ParameterSet:
 
 def linear_forward(x, W, b):
     return x @ W + b
-
-
-def linear_backward(x, W, dout):
-    """Returns (dx, dW, db) for y = x @ W + b."""
-    return dout @ W.T, x.T @ dout, dout.sum(axis=0)
 
 
 def relu(x):
@@ -162,10 +161,12 @@ def softmax_cross_entropy(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    loss = -logp[np.arange(n), labels].mean()
+    true = np.arange(0, n * c, c) + labels  # flat index of each row's label
+    loss = -np.add.reduce(logp.ravel()[true]) / n
     dlogits = np.exp(logp)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    dlogits.ravel()[true] -= 1.0
+    dlogits /= n
+    return loss, dlogits
 
 
 def sigmoid_bce(logits, targets):
@@ -199,12 +200,14 @@ def _span_and_check(params: ParameterSet, grads: np.ndarray, parts) -> slice:
 def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> ParameterSet:
     """In-place SGD: p <- p - alpha * g over the span of ``parts``.
 
-    ``grads`` is one vector over that span; other parameters are untouched.
+    ``grads`` is one vector over that span, consumed: it is scaled by
+    ``alpha`` in place. Other parameters are untouched.
     """
     if alpha < 0:
         raise InputError("alpha must be non-negative")
     p = params.flat[_span_and_check(params, grads, parts)]
-    p -= alpha * grads
+    grads *= alpha
+    p -= grads
     return params
 
 

@@ -85,7 +85,7 @@ def test_criterion_1_schedule_arithmetic():
     batches = [(Batch(np.zeros((4, 2)), np.zeros(4, dtype=int)), b % 3)
                for b in range(90)]
     it = iter(batches)
-    mem = EpisodicMemory(1.0, np.random.default_rng(0), np.random.default_rng(1))
+    mem = EpisodicMemory(1.0, 90 * 4, np.random.default_rng(0), np.random.default_rng(1))
     total = n_memory = 0
     while True:
         ep = next_episode(it, mem, sched, total + 1)

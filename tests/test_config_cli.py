@@ -207,6 +207,8 @@ def test_value_types_follow_the_defaults():
                                    "test_per_class": 0}},
     {"method": "ANML_ER", "memory": {"p_write": 0}},
     {"method": "SEQ", "dataset": {"train_files": [], "test_files": []}, "suite": None},
+    {"method": "MTL", "memory": {"p_write": 5.0}},
+    {"method": "SEQ", "memory": {"p_write": 5.0}},
 ])
 def test_cli_rejects_unusable_runs_before_training(tmp_path, over):
     config = _minimal(**over)

@@ -19,7 +19,8 @@ from metareplay.stream import Batch
 
 
 def _mem(seed=0):
-    return EpisodicMemory(1.0, np.random.default_rng(seed),
+    # capacity: the longest stream below offers 120 batches of 4
+    return EpisodicMemory(1.0, 480, np.random.default_rng(seed),
                           np.random.default_rng(seed + 1))
 
 

@@ -1,18 +1,72 @@
 """Episodic memory: probabilistic admission and uniform sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from metareplay.memory import EpisodicMemory
 from metareplay.numerics import InputError
-from metareplay.stream import Batch
+from metareplay.episodes import ReplaySchedule
+from metareplay.learners import LearnerConfig, run_meta_training, train_sequential
+from metareplay.model import Classifier, ModelConfig
+from metareplay.stream import Batch, make_synthetic_suite
 
 
-def _memory(p_write, seed=0):
+def _rngs(seed):
     rng = np.random.default_rng(seed)
-    return EpisodicMemory(p_write, np.random.default_rng(rng.integers(2**31)),
-                          np.random.default_rng(rng.integers(2**31)))
+    return (np.random.default_rng(rng.integers(2**31)),
+            np.random.default_rng(rng.integers(2**31)))
+
+
+def _memory(p_write, seed=0, capacity=5000):
+    return EpisodicMemory(p_write, capacity, *_rngs(seed))
+
+
+class ListMemory:
+    """Reference: the list-of-rows memory the array-backed one replaced."""
+
+    def __init__(self, p_write, write_rng, sample_rng):
+        self.p_write = p_write
+        self._write_rng = write_rng
+        self._sample_rng = sample_rng
+        self._features, self._labels, self._task_ids = [], [], []
+        self.offers = 0
+        self.short_samples = 0
+
+    def __len__(self):
+        return len(self._labels)
+
+    def write(self, batch, task_id):
+        n = len(batch)
+        self.offers += n
+        if self.p_write >= 1.0:
+            admit = np.ones(n, dtype=bool)
+        elif self.p_write <= 0.0:
+            self._write_rng.random(n)
+            return 0
+        else:
+            admit = self._write_rng.random(n) < self.p_write
+        for i in np.flatnonzero(admit):
+            self._features.append(batch.features[i])
+            self._labels.append(int(batch.labels[i]))
+            self._task_ids.append(task_id)
+        return int(admit.sum())
+
+    def sample(self, n):
+        size = len(self)
+        if n >= size:
+            if n > size:
+                self.short_samples += 1
+            idx = self._sample_rng.permutation(size)
+        else:
+            idx = self._sample_rng.choice(size, size=n, replace=False)
+        return Batch(np.array([self._features[i] for i in idx]),
+                     np.array([self._labels[i] for i in idx]))
+
+    def composition(self):
+        return dict(Counter(self._task_ids))
 
 
 def _batch(n, tag=0.0):
@@ -102,3 +156,80 @@ def test_dump_format(tmp_path):
     path = tmp_path / "mem.tsv"
     mem.dump(path)
     assert path.read_text().splitlines() == ["1\t4", "1\t7"]
+
+
+# -- the array-backed store against the list reference ------------------------
+
+@pytest.mark.parametrize("row_shape", [(3,), (4, 3)], ids=["n-d", "n-K-d"])
+@pytest.mark.parametrize("p_write", [0.0, 0.3, 1.0])
+def test_matches_list_reference(p_write, row_shape):
+    rng = np.random.default_rng(5)
+    sizes = [16, 7, 16, 1, 16, 16, 3, 16, 16, 16]
+    mem = _memory(p_write, seed=11, capacity=sum(sizes))
+    ref = ListMemory(p_write, *_rngs(11))
+    for step, n in enumerate(sizes):
+        batch = Batch(rng.standard_normal((n,) + row_shape), rng.integers(0, 5, n))
+        tid = [3, 0, 2][step % 3]
+        assert mem.write(batch, tid) == ref.write(batch, tid)
+        assert len(mem) == len(ref)
+        if len(ref) > 0:
+            for k in (1, 5, len(ref), len(ref) + 4):  # the last two return every row
+                got, want = mem.sample(k), ref.sample(k)
+                assert got.features.dtype == want.features.dtype
+                assert got.labels.dtype == want.labels.dtype
+                np.testing.assert_array_equal(got.features, want.features)
+                np.testing.assert_array_equal(got.labels, want.labels)
+    assert (mem.offers, mem.short_samples) == (ref.offers, ref.short_samples)
+    comp = mem.composition()
+    assert comp == ref.composition()
+    assert all(type(k) is int and type(v) is int for k, v in comp.items())
+
+
+def test_write_past_capacity_raises():
+    mem = _memory(1.0, capacity=10)
+    mem.write(_batch(8), task_id=0)
+    with pytest.raises(InputError, match="capacity"):
+        mem.write(_batch(3), task_id=0)
+    assert len(mem) == 8 and mem.offers == 8
+    mem.write(_batch(2), task_id=0)
+    assert len(mem) == 10
+
+
+def test_write_with_other_row_shape_raises():
+    mem = _memory(1.0)
+    mem.write(_batch(3), task_id=0)
+    with pytest.raises(InputError):
+        mem.write(Batch(np.zeros((2, 3)), np.zeros(2, dtype=int)), task_id=0)
+
+
+def test_sampled_batch_is_a_copy():
+    mem = _memory(1.0)
+    mem.write(_batch(6, tag=1.0), task_id=0)
+    out = mem.sample(6)
+    out.features[:] = -1.0
+    out.labels[:] = 9
+    again = mem.sample(6)
+    assert (again.features[:, 0] == 1.0).all() and (again.labels == 0).all()
+
+
+@pytest.mark.parametrize("method", ["OML_ER", "REPLAY"])
+def test_buffers_are_never_reallocated_during_a_run(method, monkeypatch):
+    suite = make_synthetic_suite("BALANCED", num_tasks=3, classes_per_task=2,
+                                 examples_per_class=30, input_dim=4, seed=0)
+    model = Classifier(ModelConfig(input_dim=4, encoder_dims=(8,), num_classes=6))
+    config = LearnerConfig(method, ReplaySchedule(8, 2, 16, 0.5), p_write=0.5)
+    buffers = set()
+    write = EpisodicMemory.write
+
+    def recording_write(self, batch, task_id):
+        admitted = write(self, batch, task_id)
+        buffers.add(tuple(a.__array_interface__["data"][0]
+                          for a in (self._features, self._labels, self._task_ids)))
+        return admitted
+
+    monkeypatch.setattr(EpisodicMemory, "write", recording_write)
+    train = run_meta_training if method == "OML_ER" else train_sequential
+    _, memory, _ = train(model, suite.train, config, seed=0)
+    assert len(buffers) == 1
+    assert memory.offers == memory.capacity == sum(t.size for t in suite.train)
+    assert memory._features.shape[0] == memory.capacity

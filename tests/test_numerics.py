@@ -14,8 +14,6 @@ from metareplay.numerics import (
     Partition,
     adam_step,
     grad_check,
-    linear_backward,
-    linear_forward,
     relu,
     relu_backward,
     sgd_step,
@@ -43,21 +41,6 @@ def _fd(f, x, eps=1e-6):
         g[i] = (hi - lo) / (2 * eps)
         it.iternext()
     return g
-
-
-def test_linear_backward_matches_finite_differences():
-    x = RNG.standard_normal((5, 4))
-    W = RNG.standard_normal((4, 3))
-    b = RNG.standard_normal(3)
-    dout = RNG.standard_normal((5, 3))
-
-    def loss():
-        return float((linear_forward(x, W, b) * dout).sum())
-
-    dx, dW, db = linear_backward(x, W, dout)
-    np.testing.assert_allclose(dx, _fd(loss, x), atol=1e-7)
-    np.testing.assert_allclose(dW, _fd(loss, W), atol=1e-7)
-    np.testing.assert_allclose(db, _fd(loss, b), atol=1e-7)
 
 
 def test_relu_backward_matches_finite_differences():
@@ -147,8 +130,10 @@ HEAD = {Partition.HEAD}
 
 def test_sgd_step_updates_in_place():
     params = _param([1.0, 2.0])
-    sgd_step(params, np.array([0.5, -1.0]), 0.1, HEAD)
+    grads = np.array([0.5, -1.0])
+    sgd_step(params, grads, 0.1, HEAD)
     np.testing.assert_allclose(params.tensors["p"], [0.95, 2.1])
+    np.testing.assert_array_equal(grads, [0.5 * 0.1, -1.0 * 0.1])  # consumed: scaled in place
 
 
 def test_sgd_step_shape_mismatch_raises():
@@ -198,11 +183,17 @@ def test_adam_beta_zero_is_identity_for_values():
 
 
 def test_adam_state_survives_clone():
+    # A clone is an inner-loop working copy: it starts with no Adam state,
+    # and nothing done to it touches the original's.
     params = _param([1.0])
     adam_step(params, np.array([1.0]), 0.1, HEAD)
+    moments = params.moments.copy()
     clone = params.clone()
+    assert clone.adam_t == 0 and clone.moments is None and clone.adam_span is None
     adam_step(clone, np.array([1.0]), 0.1, HEAD)
-    assert params.adam_t == 1 and clone.adam_t == 2
+    assert params.adam_t == 1 and clone.adam_t == 1
+    assert not np.shares_memory(clone.moments, params.moments)
+    np.testing.assert_array_equal(params.moments, moments)
     assert params.tensors["p"][0] != clone.tensors["p"][0]
 
 
