@@ -12,7 +12,7 @@ import numpy as np
 
 from metareplay import EpisodicMemory, ReplaySchedule
 from metareplay.episodes import MEMORY, next_episode
-from metareplay.stream import Batch
+from metareplay.stream import TaskSpec
 
 
 def show(schedule: ReplaySchedule):
@@ -26,13 +26,14 @@ def show(schedule: ReplaySchedule):
 
 
 def trace_episodes(schedule: ReplaySchedule, n_batches: int):
+    size = schedule.batch_size
+    task = TaskSpec(0, np.zeros((n_batches * size, 2)), np.zeros(n_batches * size, dtype=int))
+
     def stream():
         for i in range(n_batches):
-            yield Batch(np.zeros((schedule.batch_size, 2)),
-                        np.zeros(schedule.batch_size, dtype=int)), 0
+            yield task.take(np.arange(i * size, (i + 1) * size)), 0
 
-    memory = EpisodicMemory(1.0, n_batches * schedule.batch_size,
-                            np.random.default_rng(0), np.random.default_rng(1))
+    memory = EpisodicMemory(1.0, [task], np.random.default_rng(0), np.random.default_rng(1))
     it = stream()
     index, marks = 0, []
     while True:

@@ -4,7 +4,6 @@ Subcommands:
   run            train/evaluate per the config file, write metrics to disk
   schedule-info  print the replay schedule implied by (R_I, b, m, r)
   grad-check     run the finite-difference verification suite
-  suite-gen      emit a synthetic task suite to an .npz file
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .episodes import ReplaySchedule
 from .learners import run as run_learner
 from .model import Classifier, ModelConfig
 from .numerics import InputError, LossMode, NumericalError, grad_check
-from .stream import Batch, make_synthetic_suite
+from .stream import Batch
 
 
 def _json_line(record: dict) -> str:
@@ -181,26 +180,6 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     return worst
 
 
-def suite_gen(args) -> int:
-    suite = make_synthetic_suite(
-        kind=args.kind, num_tasks=args.num_tasks,
-        classes_per_task=args.classes_per_task,
-        examples_per_class=args.examples_per_class,
-        input_dim=args.input_dim, seed=args.seed,
-        test_per_class=args.test_per_class)
-    arrays = {}
-    for split, tasks in (("train", suite.train), ("test", suite.test)):
-        for t in tasks:
-            arrays[f"{split}/{t.task_id}/features"] = t.features
-            arrays[f"{split}/{t.task_id}/labels"] = t.labels
-    arrays["__meta__"] = np.frombuffer(
-        json.dumps(suite.meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    np.savez(args.out, **arrays)
-    print(f"wrote {args.out}: {len(suite.train)} tasks, "
-          f"{sum(t.size for t in suite.train)} train examples")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="metareplay")
     parser.add_argument("--version", action="version", version=__version__)
@@ -223,15 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--eps", type=float, default=1e-4)
 
-    p_gen = sub.add_parser("suite-gen", help="emit a synthetic suite to disk")
-    p_gen.add_argument("--kind", choices=["BALANCED", "IMBALANCED"], default="BALANCED")
-    p_gen.add_argument("--num-tasks", type=int, default=5)
-    p_gen.add_argument("--classes-per-task", type=int, default=2)
-    p_gen.add_argument("--examples-per-class", type=int, default=1000)
-    p_gen.add_argument("--test-per-class", type=int, default=250)
-    p_gen.add_argument("--input-dim", type=int, default=10)
-    p_gen.add_argument("--seed", type=int, default=7)
-    p_gen.add_argument("--out", required=True)
     return parser
 
 
@@ -247,8 +217,6 @@ def main(argv=None) -> int:
         if args.command == "grad-check":
             worst = run_grad_check_suite(args.trials, args.seed, args.eps)
             return 0 if worst < 1e-5 else 1
-        if args.command == "suite-gen":
-            return suite_gen(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -177,6 +177,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise InputError("train_files and test_files must pair up per task")
     if has_dataset and not dataset_spec["train_files"]:
         raise InputError("dataset needs at least one task file")
+    if not cfg["seeds"] or min(cfg["seeds"]) < 0:
+        raise InputError("seeds must be a non-empty list of non-negative integers")
     if has_suite and suite_spec["test_per_class"] < 1:
         raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
 

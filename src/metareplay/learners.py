@@ -107,8 +107,8 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
     schedule = config.schedule
     order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
     stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, sum(t.size for t in tasks),
-                            rngs["memory_write"], rngs["memory_sample"])
+    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
+                            rngs["memory_sample"])
     trace = TrainingTrace()
 
     it = stream.with_task_ids()
@@ -218,8 +218,8 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
     schedule = config.schedule
     order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
     stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, sum(t.size for t in tasks),
-                            rngs["memory_write"], rngs["memory_sample"])
+    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
+                            rngs["memory_sample"])
     trace = TrainingTrace()
     parts = model.outer_partitions()
     replay = config.method == "REPLAY" and not config.no_replay

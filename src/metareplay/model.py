@@ -52,8 +52,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.input_dim < 1:
             raise InputError("input_dim must be >= 1")
-        if not self.encoder_dims:
-            raise InputError("encoder_dims must be non-empty")
+        if not self.encoder_dims or min(self.encoder_dims) < 1:
+            raise InputError("encoder_dims must be a non-empty list of widths >= 1")
+        if self.architecture == "ANML" and self.nm_hidden_dim < 1:
+            raise InputError("nm_hidden_dim must be >= 1")
         if self.architecture not in ARCHITECTURES:
             raise InputError(f"unknown architecture {self.architecture!r}")
         if self.loss_mode == LossMode.MULTICLASS_CE and self.num_classes < 2:

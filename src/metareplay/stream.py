@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,19 @@ class Batch:
     indices. Candidate-ranking mode: ``features`` is (n, K, d), one
     (input, candidate) pair row per candidate, and ``labels`` holds the index
     of the true candidate in [0, K).
+
+    ``rows`` holds the row indices into the task a batch was taken from
+    (``TaskSpec.take`` sets it; any other batch has None). It is not a
+    field: learners never read it, the episodic memory stores it instead of
+    copying features.
     """
 
     features: np.ndarray
     labels: np.ndarray  # (n,)
+    rows: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, rows):
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self):
         return self.features.shape[0]
@@ -48,10 +57,14 @@ class TaskSpec:
         return self.features.shape[0]
 
     def take(self, idx):
-        return Batch(self.features[idx], self.labels[idx])
+        """A copy of the rows at an integer index array ``idx``, recording it."""
+        return Batch(self.features[idx], self.labels[idx], idx)
 
     def full_batch(self):
-        return self.take(np.arange(self.size))
+        """The whole task as a read-only batch over the task's own arrays."""
+        features, labels = self.features.view(), self.labels.view()
+        features.flags.writeable = labels.flags.writeable = False
+        return Batch(features, labels)
 
 
 @dataclass(frozen=True)
@@ -74,19 +87,25 @@ class FeaturizerConfig:
 _TOKEN_RE = re.compile(r"[\w']+")
 
 
-def featurize(text: str, config: FeaturizerConfig) -> np.ndarray:
-    """Hashed bag-of-words: lowercase, split on non-word chars, hash to [0, D)."""
+def featurize(text: str, config: FeaturizerConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Hashed bag-of-words: lowercase, split on non-word chars, hash to [0, D).
+
+    The vector is written into ``out`` (a float64 row of length D) if given.
+    """
     tokens = _TOKEN_RE.findall(text.lower())
     if config.truncate is not None:
         tokens = tokens[: config.truncate]
-    vec = np.zeros(config.dim)
-    for tok in tokens:
-        vec[zlib.crc32(tok.encode("utf-8")) % config.dim] += 1.0
+    hashes = np.fromiter((zlib.crc32(tok.encode("utf-8")) for tok in tokens),
+                         dtype=np.int64, count=len(tokens))
+    counts = np.bincount(hashes % config.dim, minlength=config.dim)
+    if out is None:
+        out = np.empty(config.dim)
+    out[:] = counts
     if config.l2_normalize:
-        norm = np.linalg.norm(vec)
+        norm = np.linalg.norm(out)
         if norm > 0:
-            vec /= norm
-    return vec
+            out /= norm
+    return out
 
 
 class BatchStream:
@@ -176,6 +195,8 @@ def make_synthetic_suite(
         raise InputError("need at least 2 tasks")
     if kind not in ("BALANCED", "IMBALANCED"):
         raise InputError(f"unknown suite kind {kind!r}")
+    if seed < 0:
+        raise InputError("suite seed must be non-negative")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5017E]))
     num_classes = num_tasks * classes_per_task
 
@@ -231,7 +252,7 @@ def load_text_task(path, task_id: int, config: FeaturizerConfig) -> TaskSpec:
 
     Labels are non-negative integers in the global label space.
     """
-    feats, labels = [], []
+    labels, texts = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -242,7 +263,10 @@ def load_text_task(path, task_id: int, config: FeaturizerConfig) -> TaskSpec:
                 labels.append(int(label))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
-            feats.append(featurize(text, config))
-    if not feats:
+            texts.append(text)
+    if not texts:
         raise InputError(f"{path}: no records")
-    return TaskSpec(task_id, np.array(feats), np.array(labels))
+    feats = np.empty((len(texts), config.dim))
+    for row, text in zip(feats, texts):
+        featurize(text, config, row)
+    return TaskSpec(task_id, feats, np.array(labels))

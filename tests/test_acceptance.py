@@ -80,12 +80,13 @@ def test_criterion_1_schedule_arithmetic():
     # floor(episodes / R_F).
     from metareplay.episodes import next_episode
     from metareplay.memory import EpisodicMemory
-    from metareplay.stream import Batch
+    from metareplay.stream import TaskSpec
     sched = ReplaySchedule(4, 3, 48, 0.25)
-    batches = [(Batch(np.zeros((4, 2)), np.zeros(4, dtype=int)), b % 3)
+    tasks = [TaskSpec(t, np.zeros((120, 2)), np.zeros(120, dtype=int)) for t in range(3)]
+    batches = [(tasks[b % 3].take(np.arange(4 * (b // 3), 4 * (b // 3) + 4)), b % 3)
                for b in range(90)]
     it = iter(batches)
-    mem = EpisodicMemory(1.0, 90 * 4, np.random.default_rng(0), np.random.default_rng(1))
+    mem = EpisodicMemory(1.0, tasks, np.random.default_rng(0), np.random.default_rng(1))
     total = n_memory = 0
     while True:
         ep = next_episode(it, mem, sched, total + 1)
@@ -96,9 +97,9 @@ def test_criterion_1_schedule_arithmetic():
             n_memory += 1
         else:
             if ep.query is not None:
-                mem.write(ep.query, 0)
-        for b in ep.support:
-            mem.write(b, 0)
+                mem.write(ep.query, ep.query_task_id)
+        for b, tid in zip(ep.support, ep.support_task_ids):
+            mem.write(b, tid)
     elapsed = time.perf_counter() - t0
     ok = ok and n_memory == total // sched.frequency and elapsed < 1.0
     _report(1, ok, f"R_F(9600,16,5)=101, R_F(1600,4,5)=67, baseline 600, "

@@ -1,9 +1,12 @@
 """Config parsing and the command-line entry points."""
 
 import json
+import tempfile
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from metareplay.cli import main, run_grad_check_suite, schedule_info
 from metareplay.config import build_model, build_suite, load_config, parse_config
@@ -233,11 +236,81 @@ def test_cli_schedule_info_subcommand(capsys):
     assert "67" in capsys.readouterr().out
 
 
-def test_cli_suite_gen(tmp_path):
-    out = tmp_path / "suite.npz"
-    assert main(["suite-gen", "--num-tasks", "3", "--examples-per-class", "20",
-                 "--test-per-class", "5", "--input-dim", "4", "--out", str(out)]) == 0
-    data = np.load(out)
-    assert "train/0/features" in data.files and "test/2/labels" in data.files
-    meta = json.loads(bytes(data["__meta__"]).decode())
-    assert meta["num_tasks"] == 3
+# -- property: every config either runs or is rejected, never a traceback ----
+
+def _tiny(method):
+    return {
+        "method": method,
+        "suite": {"num_tasks": 2, "examples_per_class": 6, "test_per_class": 2,
+                  "input_dim": 3},
+        "model": {"encoder_dims": [4], "nm_hidden_dim": 3},
+        "schedule": {"batch_size": 4, "support_size": 2, "replay_interval": 8,
+                     "replay_rate": 0.5},
+        "seeds": [0],
+    }
+
+
+# (section, key) paths a mutation may target; (section,) is a whole entry.
+_PATHS = [(k,) for k in ("method", "suite", "dataset", "model", "schedule", "learning",
+                         "memory", "ablations", "orders", "seeds", "combined_test",
+                         "record_alignment", "save_checkpoints")] + [
+    ("suite", k) for k in ("kind", "num_tasks", "classes_per_task", "examples_per_class",
+                           "test_per_class", "input_dim", "seed", "separation")] + [
+    ("model", k) for k in ("encoder_dims", "architecture", "nm_hidden_dim")] + [
+    ("schedule", k) for k in ("batch_size", "support_size", "replay_interval",
+                              "replay_rate")] + [
+    ("learning", k) for k in ("inner_lr", "outer_lr", "epochs")] + [
+    ("memory", "p_write"), ("ablations", "no_replay"), ("ablations", "no_meta_test_finetune"),
+    ("dataset", "train_files"), ("dataset", "test_files")]
+
+# Integers stay small so that no mutation can ask for a large run.
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+            | st.sampled_from([0.0, 0.25, 1.0, 1.5, -0.5, 1e308, float("nan"), float("inf")])
+            | st.sampled_from(["", "x", "OML_ER", "MTL", "ANML", "IMBALANCED"]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "epochs", "extra"]), inner, max_size=2),
+    max_leaves=4)
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["delete", "set", "extra"]), st.sampled_from(_PATHS), _VALUES),
+    min_size=1, max_size=3)
+
+
+def _mutate(cfg, mutations):
+    for op, path, value in mutations:
+        *parents, key = path
+        node = cfg
+        for name in parents:
+            if not isinstance(node.get(name), dict):
+                node[name] = {}
+            node = node[name]
+        if op == "delete":
+            node.pop(key, None)
+        elif op == "set":
+            node[key] = value
+        else:
+            node[f"{key}_extra"] = value
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverging runs must exit 3
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@example("SEQ", [("set", ("seeds",), [-1])], False)
+@example("SEQ", [("set", ("seeds",), [])], False)
+@example("MTL", [("set", ("suite", "seed"), -1)], False)
+@example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 0)], False)
+@example("OML_ER", [("set", ("model", "encoder_dims"), [0])], False)
+@example("OML_ER", [("set", ("learning", "outer_lr"), 1e308)], False)
+@given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
+       _MUTATIONS, st.booleans())
+def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap):
+    cfg = _mutate(_tiny(method), mutations)
+    if wrap:  # a config that is not a JSON object
+        cfg = [cfg]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)

@@ -15,20 +15,26 @@ from metareplay.episodes import (
 )
 from metareplay.memory import EpisodicMemory
 from metareplay.numerics import InputError
-from metareplay.stream import Batch
+from metareplay.stream import Batch, TaskSpec
+
+# The longest stream below offers 120 batches of 4; every row of batch i is i.
+TASK = TaskSpec(0, np.repeat(np.arange(120.0), 4)[:, None].repeat(2, axis=1),
+                np.zeros(480, dtype=int))
 
 
 def _mem(seed=0):
-    # capacity: the longest stream below offers 120 batches of 4
-    return EpisodicMemory(1.0, 480, np.random.default_rng(seed),
+    return EpisodicMemory(1.0, [TASK], np.random.default_rng(seed),
                           np.random.default_rng(seed + 1))
 
 
-def _stream(n_batches, batch_size=4):
+def _batch(i):
+    return TASK.take(np.arange(4 * i, 4 * i + 4))
+
+
+def _stream(n_batches):
     def gen():
         for i in range(n_batches):
-            feats = np.full((batch_size, 2), float(i))
-            yield Batch(feats, np.zeros(batch_size, dtype=int)), 0
+            yield _batch(i), 0
     return gen()
 
 
@@ -132,7 +138,7 @@ def test_no_replay_flag_suppresses_memory_queries():
                            replay_rate=1.0)
     it = _stream(20)
     mem = _mem()
-    mem.write(Batch(np.zeros((4, 2)), np.zeros(4, dtype=int)), 0)
+    mem.write(_batch(0), 0)
     for index in range(1, 11):
         ep = next_episode(it, mem, sched, index, allow_replay=False)
         if ep is None:
@@ -146,7 +152,7 @@ def test_replay_query_does_not_consume_stream():
     assert sched.frequency == 1
     it = _stream(4)
     mem = _mem()
-    mem.write(Batch(np.ones((4, 2)), np.zeros(4, dtype=int)), 0)
+    mem.write(_batch(1), 0)
     seen = []
     for index in range(1, 10):
         ep = next_episode(it, mem, sched, index)
@@ -184,8 +190,7 @@ def test_exhausted_stream_returns_none():
 
 def test_meta_test_episode_shapes():
     mem = _mem()
-    mem.write(Batch(np.arange(200, dtype=float).reshape(100, 2),
-                    np.zeros(100, dtype=int)), 0)
+    mem.write(TASK.take(np.arange(100)), 0)
     test_batch = Batch(np.zeros((7, 2)), np.zeros(7, dtype=int))
     ep = meta_test_episode(mem, test_batch, support_size=5, batch_size=8)
     assert len(ep.support) == 5

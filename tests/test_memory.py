@@ -11,7 +11,7 @@ from metareplay.numerics import InputError
 from metareplay.episodes import ReplaySchedule
 from metareplay.learners import LearnerConfig, run_meta_training, train_sequential
 from metareplay.model import Classifier, ModelConfig
-from metareplay.stream import Batch, make_synthetic_suite
+from metareplay.stream import Batch, TaskSpec, make_synthetic_suite
 
 
 def _rngs(seed):
@@ -20,12 +20,26 @@ def _rngs(seed):
             np.random.default_rng(rng.integers(2**31)))
 
 
-def _memory(p_write, seed=0, capacity=5000):
-    return EpisodicMemory(p_write, capacity, *_rngs(seed))
+def _task(n, tag=0.0, task_id=0):
+    """Rows (tag, row index), so a sampled row shows where it came from."""
+    feats = np.full((n, 2), tag)
+    feats[:, 1] = np.arange(n)
+    return TaskSpec(task_id, feats, np.zeros(n, dtype=int))
+
+
+TASK = _task(5000)
+
+
+def _memory(p_write, seed=0, tasks=(TASK,)):
+    return EpisodicMemory(p_write, tasks, *_rngs(seed))
+
+
+def _batch(n, start=0, task=TASK):
+    return task.take(np.arange(start, start + n))
 
 
 class ListMemory:
-    """Reference: the list-of-rows memory the array-backed one replaced."""
+    """Reference: the original list-of-rows memory, which copied every row."""
 
     def __init__(self, p_write, write_rng, sample_rng):
         self.p_write = p_write
@@ -69,12 +83,6 @@ class ListMemory:
         return dict(Counter(self._task_ids))
 
 
-def _batch(n, tag=0.0):
-    feats = np.full((n, 2), tag)
-    feats[:, 1] = np.arange(n)
-    return Batch(feats, np.zeros(n, dtype=int))
-
-
 def test_p_write_one_admits_everything():
     mem = _memory(1.0)
     admitted = mem.write(_batch(37), task_id=0)
@@ -99,8 +107,8 @@ def test_writes_are_per_example_not_per_batch():
     # Across many small batches, admission still tracks p per example.
     p = 0.5
     mem = _memory(p, seed=8)
-    for _ in range(200):
-        mem.write(_batch(10), task_id=0)
+    for i in range(200):
+        mem.write(_batch(10, start=10 * i), task_id=0)
     sigma = np.sqrt(2000 * p * (1 - p))
     assert abs(len(mem) - 1000) <= 3 * sigma
 
@@ -138,10 +146,11 @@ def test_empty_sample_raises():
 
 
 def test_composition_tracks_task_ids():
-    mem = _memory(1.0)
-    mem.write(_batch(5), task_id=0)
-    mem.write(_batch(3), task_id=2)
-    mem.write(_batch(2), task_id=2)
+    zero, other = _task(5), _task(5, task_id=2)
+    mem = _memory(1.0, tasks=(zero, other))
+    mem.write(_batch(5, task=zero), task_id=0)
+    mem.write(_batch(3, task=other), task_id=2)
+    mem.write(_batch(2, start=3, task=other), task_id=2)
     assert mem.composition() == {0: 5, 2: 5}
 
 
@@ -151,25 +160,32 @@ def test_invalid_p_write_raises():
 
 
 def test_dump_format(tmp_path):
-    mem = _memory(1.0)
-    mem.write(Batch(np.zeros((2, 2)), np.array([4, 7])), task_id=1)
+    task = TaskSpec(1, np.zeros((2, 2)), np.array([4, 7]))
+    mem = _memory(1.0, tasks=(task,))
+    mem.write(task.take(np.arange(2)), task_id=1)
     path = tmp_path / "mem.tsv"
     mem.dump(path)
     assert path.read_text().splitlines() == ["1\t4", "1\t7"]
 
 
-# -- the array-backed store against the list reference ------------------------
+# -- the row-reference store against the list reference ----------------------
 
 @pytest.mark.parametrize("row_shape", [(3,), (4, 3)], ids=["n-d", "n-K-d"])
 @pytest.mark.parametrize("p_write", [0.0, 0.3, 1.0])
 def test_matches_list_reference(p_write, row_shape):
     rng = np.random.default_rng(5)
     sizes = [16, 7, 16, 1, 16, 16, 3, 16, 16, 16]
-    mem = _memory(p_write, seed=11, capacity=sum(sizes))
+    tids = [[3, 0, 2][step % 3] for step in range(len(sizes))]
+    tasks = {}
+    for tid in (3, 0, 2):  # each task holds exactly the rows the stream takes from it
+        n = sum(size for size, t in zip(sizes, tids) if t == tid)
+        tasks[tid] = TaskSpec(tid, rng.standard_normal((n,) + row_shape), rng.integers(0, 5, n))
+    perms = {tid: iter(rng.permutation(t.size)) for tid, t in tasks.items()}
+    mem = _memory(p_write, seed=11, tasks=list(tasks.values()))
     ref = ListMemory(p_write, *_rngs(11))
-    for step, n in enumerate(sizes):
-        batch = Batch(rng.standard_normal((n,) + row_shape), rng.integers(0, 5, n))
-        tid = [3, 0, 2][step % 3]
+    assert mem.capacity == sum(sizes)
+    for n, tid in zip(sizes, tids):
+        batch = tasks[tid].take(np.fromiter(perms[tid], dtype=np.int64, count=n))
         assert mem.write(batch, tid) == ref.write(batch, tid)
         assert len(mem) == len(ref)
         if len(ref) > 0:
@@ -186,12 +202,14 @@ def test_matches_list_reference(p_write, row_shape):
 
 
 def test_write_past_capacity_raises():
-    mem = _memory(1.0, capacity=10)
-    mem.write(_batch(8), task_id=0)
+    task = _task(10)
+    mem = _memory(1.0, tasks=(task,))
+    assert mem.capacity == 10
+    mem.write(_batch(8, task=task), task_id=0)
     with pytest.raises(InputError, match="capacity"):
-        mem.write(_batch(3), task_id=0)
+        mem.write(_batch(3, task=task), task_id=0)
     assert len(mem) == 8 and mem.offers == 8
-    mem.write(_batch(2), task_id=0)
+    mem.write(_batch(2, start=8, task=task), task_id=0)
     assert len(mem) == 10
 
 
@@ -199,37 +217,73 @@ def test_write_with_other_row_shape_raises():
     mem = _memory(1.0)
     mem.write(_batch(3), task_id=0)
     with pytest.raises(InputError):
-        mem.write(Batch(np.zeros((2, 3)), np.zeros(2, dtype=int)), task_id=0)
+        mem.write(Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), np.arange(2)), task_id=0)
+    with pytest.raises(InputError):  # one row shape for all tasks
+        _memory(1.0, tasks=(TASK, TaskSpec(1, np.zeros((2, 3)), np.zeros(2, dtype=int))))
+
+
+def test_write_of_a_batch_without_rows_raises():
+    mem = _memory(1.0)
+    with pytest.raises(InputError, match="rows"):
+        mem.write(Batch(np.zeros((2, 2)), np.zeros(2, dtype=int)), task_id=0)
+    sample = _memory(1.0)
+    sample.write(_batch(4), task_id=0)
+    with pytest.raises(InputError, match="rows"):  # a memory sample has none
+        mem.write(sample.sample(2), task_id=0)
+    assert len(mem) == 0 and mem.offers == 0
+
+
+def test_write_with_unknown_task_id_raises():
+    mem = _memory(1.0)
+    with pytest.raises(InputError, match="not one of"):
+        mem.write(_batch(2), task_id=1)
+    assert len(mem) == 0 and mem.offers == 0
+
+
+def test_write_with_duplicate_task_id_raises():
+    first, second, other = _task(4), _task(4, tag=1.0), _task(4, task_id=5)
+    mem = _memory(1.0, tasks=(first, second, other))
+    with pytest.raises(InputError, match="two"):
+        mem.write(_batch(2, task=first), task_id=0)
+    assert mem.write(_batch(2, task=other), task_id=5) == 2
 
 
 def test_sampled_batch_is_a_copy():
-    mem = _memory(1.0)
-    mem.write(_batch(6, tag=1.0), task_id=0)
+    task = _task(6, tag=1.0)
+    mem = _memory(1.0, tasks=(task,))
+    mem.write(_batch(6, task=task), task_id=0)
     out = mem.sample(6)
     out.features[:] = -1.0
     out.labels[:] = 9
     again = mem.sample(6)
     assert (again.features[:, 0] == 1.0).all() and (again.labels == 0).all()
+    assert (task.features[:, 0] == 1.0).all() and (task.labels == 0).all()
+
+
+def test_samples_gather_across_tasks_in_sampled_order():
+    tasks = [_task(20, tag=float(t), task_id=t) for t in range(3)]
+    mem = _memory(1.0, seed=3, tasks=tasks)
+    for t in (2, 0, 1):  # task 0's rows are given as negative indices
+        mem.write(tasks[t].take(np.arange(19, -1, -2) - 20 * (t == 0)), task_id=t)
+    stored = np.concatenate([tasks[t].features[19::-2] for t in (2, 0, 1)])
+    ref_rng = _rngs(3)[1]
+    for k in (12, 30, 31):
+        idx = (ref_rng.permutation(30) if k >= 30 else ref_rng.choice(30, size=k, replace=False))
+        np.testing.assert_array_equal(mem.sample(k).features, stored[idx])
 
 
 @pytest.mark.parametrize("method", ["OML_ER", "REPLAY"])
-def test_buffers_are_never_reallocated_during_a_run(method, monkeypatch):
-    suite = make_synthetic_suite("BALANCED", num_tasks=3, classes_per_task=2,
-                                 examples_per_class=30, input_dim=4, seed=0)
-    model = Classifier(ModelConfig(input_dim=4, encoder_dims=(8,), num_classes=6))
+def test_memory_bytes_do_not_depend_on_feature_width(method):
     config = LearnerConfig(method, ReplaySchedule(8, 2, 16, 0.5), p_write=0.5)
-    buffers = set()
-    write = EpisodicMemory.write
-
-    def recording_write(self, batch, task_id):
-        admitted = write(self, batch, task_id)
-        buffers.add(tuple(a.__array_interface__["data"][0]
-                          for a in (self._features, self._labels, self._task_ids)))
-        return admitted
-
-    monkeypatch.setattr(EpisodicMemory, "write", recording_write)
-    train = run_meta_training if method == "OML_ER" else train_sequential
-    _, memory, _ = train(model, suite.train, config, seed=0)
-    assert len(buffers) == 1
-    assert memory.offers == memory.capacity == sum(t.size for t in suite.train)
-    assert memory._features.shape[0] == memory.capacity
+    nbytes = []
+    for dim in (4, 2048):
+        suite = make_synthetic_suite("BALANCED", num_tasks=3, classes_per_task=2,
+                                     examples_per_class=30, input_dim=dim, seed=0)
+        model = Classifier(ModelConfig(input_dim=dim, encoder_dims=(8,), num_classes=6))
+        train = run_meta_training if method == "OML_ER" else train_sequential
+        _, memory, _ = train(model, suite.train, config, seed=0)
+        assert len(memory) > 0
+        assert memory.offers == memory.capacity == sum(t.size for t in suite.train)
+        nbytes.append(sum(a.nbytes for a in vars(memory).values()
+                          if isinstance(a, np.ndarray)))
+    assert nbytes[0] == nbytes[1] < 2048 * 8 * len(memory)

@@ -1,5 +1,6 @@
 """Streams, featurization, and synthetic suite generation."""
 
+import re
 import zlib
 
 import numpy as np
@@ -81,6 +82,23 @@ def test_batch_carries_only_features_and_labels():
     assert [f.name for f in dataclasses.fields(Batch)] == ["features", "labels"]
 
 
+def test_take_records_rows_and_full_batch_is_a_read_only_view():
+    task = _tasks([5])[0]
+    idx = np.array([4, 0, 2])
+    batch = task.take(idx)
+    np.testing.assert_array_equal(batch.rows, idx)
+    np.testing.assert_array_equal(batch.features, task.features[idx])
+    full = task.full_batch()
+    assert full.rows is None and len(full) == 5
+    assert np.shares_memory(full.features, task.features)
+    assert np.shares_memory(full.labels, task.labels)
+    with pytest.raises(ValueError):
+        full.features[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        full.labels[0] = 1
+    task.features[0, 0] = 1.0  # the task's own arrays stay writable
+
+
 def test_pooled_batches_cover_pool_each_epoch():
     tasks = _tasks([10, 6])
     batches = list(pooled_batches(tasks, 4, np.random.default_rng(0), epochs=2))
@@ -100,6 +118,33 @@ def test_featurize_hand_oracle():
     expected[spam] += 2.0
     expected[ham] += 1.0
     np.testing.assert_array_equal(vec, expected)
+
+
+def _featurize_loop(text, config):
+    """Reference: the per-token loop that ``featurize`` replaced."""
+    tokens = re.findall(r"[\w']+", text.lower())[: config.truncate]
+    vec = np.zeros(config.dim)
+    for tok in tokens:
+        vec[zlib.crc32(tok.encode("utf-8")) % config.dim] += 1.0
+    norm = np.linalg.norm(vec)
+    if config.l2_normalize and norm > 0:
+        vec /= norm
+    return vec
+
+
+def test_featurize_matches_per_token_loop():
+    rng = np.random.default_rng(4)
+    words = ["alpha", "Beta", "gamma's", "delta", "ünï", "x1", "THE", "the"]
+    texts = [""] + [" ".join(rng.choice(words, size=rng.integers(1, 40)))
+                    for _ in range(50)]
+    for config in (FeaturizerConfig(dim=2048), FeaturizerConfig(dim=7, truncate=5),
+                   FeaturizerConfig(dim=16, l2_normalize=False)):
+        rows = np.empty((len(texts), config.dim))
+        for row, text in zip(rows, texts):
+            want = _featurize_loop(text, config)
+            np.testing.assert_array_equal(featurize(text, config), want)
+            assert featurize(text, config, row) is row
+            np.testing.assert_array_equal(row, want)
 
 
 def test_featurize_normalization_and_truncation():
@@ -134,6 +179,9 @@ def test_load_text_task(tmp_path):
     task = load_text_task(p, 3, FeaturizerConfig(dim=64))
     assert task.task_id == 3 and task.size == 2
     np.testing.assert_array_equal(task.labels, [0, 1])
+    np.testing.assert_array_equal(
+        task.features, [featurize(t, FeaturizerConfig(dim=64)) for t in ("hello world",
+                                                                        "goodbye moon")])
 
     bad = tmp_path / "bad.tsv"
     bad.write_text("no tab here\n", encoding="utf-8")
