@@ -41,13 +41,13 @@ def emit_metrics(records, path: Path) -> None:
 
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:
     cfg = load_config(config_path)
+    # Every input is read and checked before anything is written.
+    suite = build_suite(cfg)
+    model = build_model(cfg, suite)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(config_path, out / "config.json")
     seeds = [seed_override] if seed_override is not None else cfg.seeds
-
-    suite = build_suite(cfg)
-    model = build_model(cfg, suite)
     per_seed_macro = []
     timings = []
 

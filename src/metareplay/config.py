@@ -7,6 +7,7 @@ hyperparameter can never silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .episodes import ReplaySchedule
@@ -230,12 +231,22 @@ def parse_config(raw: dict) -> RunConfig:
     )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity, -Infinity) that is finite."""
+    value = float(text)
+    if not math.isfinite(value):  # also an overflowing literal such as 1e999
+        raise InputError(f"config numbers must be finite, got {text}")
+    return value
+
+
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read config: {exc}") from exc
     return parse_config(raw)
 
 

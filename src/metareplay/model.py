@@ -14,6 +14,7 @@ gradients for an arbitrary subset of parameter partitions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .numerics import (
     NumericalError,
     ParameterSet,
     Partition,
-    linear_forward,
     relu,
     relu_backward,
     sigmoid,
@@ -38,6 +38,8 @@ ARCHITECTURES = ("OML", "ANML", "MAML")
 # Sigmoid bias on the NM output layer so initial gates sit near sigma(2)=0.88
 # instead of collapsing the representation at the start of training.
 NM_OUTPUT_BIAS = 2.0
+
+_HEAD_ONLY = frozenset({Partition.HEAD})
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,13 @@ class Classifier:
 
     def __init__(self, config: ModelConfig):
         self.config = config
+        arch = config.architecture
+        if arch == "OML":
+            self._inner = _HEAD_ONLY
+            self._outer = frozenset({Partition.ENCODER, Partition.HEAD})
+        else:
+            self._inner = frozenset({Partition.PN_ENCODER, Partition.HEAD})
+            self._outer = self._inner | {Partition.NM} if arch == "ANML" else self._inner
 
     # -- parameters ---------------------------------------------------------
 
@@ -131,19 +140,13 @@ class Classifier:
 
         return ParameterSet(tensors, partitions)
 
-    def inner_partitions(self) -> set:
-        """Partitions adapted by inner-loop SGD."""
-        if self.config.architecture == "OML":
-            return {Partition.HEAD}
-        return {Partition.PN_ENCODER, Partition.HEAD}
+    def inner_partitions(self) -> frozenset:
+        """Partitions adapted by inner-loop SGD (one cached frozenset)."""
+        return self._inner
 
-    def outer_partitions(self) -> set:
-        """Partitions updated by the meta (or plain) optimizer."""
-        if self.config.architecture == "OML":
-            return {Partition.ENCODER, Partition.HEAD}
-        if self.config.architecture == "ANML":
-            return {Partition.PN_ENCODER, Partition.HEAD, Partition.NM}
-        return {Partition.PN_ENCODER, Partition.HEAD}
+    def outer_partitions(self) -> frozenset:
+        """Partitions updated by the meta (or plain) optimizer (one cached frozenset)."""
+        return self._outer
 
     # -- forward ------------------------------------------------------------
 
@@ -157,50 +160,59 @@ class Classifier:
         cache = {"x": x, "enc_in": [], "enc_out": []}
         h = x
         for i in range(len(cfg.encoder_dims)):
-            z = linear_forward(h, t[f"enc{i}.W"], t[f"enc{i}.b"])
+            z = h @ t[f"enc{i}.W"]
+            z += t[f"enc{i}.b"]
             cache["enc_in"].append(h)
             cache["enc_out"].append(z)
             h = relu(z)
         cache["rep"] = h
 
         if cfg.architecture == "ANML":
-            z0 = linear_forward(x, t["nm_in.W"], t["nm_in.b"])
+            z0 = x @ t["nm_in.W"]
+            z0 += t["nm_in.b"]
             a0 = relu(z0)
-            z1 = linear_forward(a0, t["nm_mid.W"], t["nm_mid.b"])
+            z1 = a0 @ t["nm_mid.W"]
+            z1 += t["nm_mid.b"]
             a1 = relu(z1)
-            z2 = linear_forward(a1, t["nm_out.W"], t["nm_out.b"])
+            z2 = a1 @ t["nm_out.W"]
+            z2 += t["nm_out.b"]
             gate = sigmoid(z2)
             cache.update(nm_z0=z0, nm_a0=a0, nm_z1=z1, nm_a1=a1, gate=gate)
             h = h * gate
             cache["gated"] = h
 
-        logits = linear_forward(h, t["head.W"], t["head.b"])
+        logits = h @ t["head.W"]
+        logits += t["head.b"]
         cache["head_in"] = h
         return logits, cache
 
-    def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray, parts: set):
-        """One gradient vector over ``params.span(parts)``, filled through
-        named views. Input gradients are formed only where a requested
-        partition lies below them."""
+    def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray,
+                  parts: frozenset):
+        """A fresh gradient vector over ``params.span(parts)``, filled through
+        the layout's cached slots. Input gradients are formed only where a
+        requested partition lies below them."""
         cfg = self.config
         t = params.tensors
-        span = params.span(parts)
+        span, slots = params.layout(parts)
         flat = np.empty(span.stop - span.start)
-        grads = params.views(flat, parts)
 
         def weight_grads(layer, x, dz):
-            np.matmul(x.T, dz, out=grads[f"{layer}.W"])
-            np.add.reduce(dz, axis=0, out=grads[f"{layer}.b"])
+            a, b, shape = slots[layer + ".W"]
+            np.matmul(x.T, dz, out=flat[a:b].reshape(shape))
+            a, b, _ = slots[layer + ".b"]  # biases are vectors
+            np.add.reduce(dz, axis=0, out=flat[a:b])
 
         if Partition.HEAD in parts:
             weight_grads("head", cache["head_in"], dlogits)
-        if not parts - {Partition.HEAD}:
+        # Only OML's cached inner set stops here; an equal set built
+        # elsewhere takes the general path, which adds nothing to ``flat``.
+        if parts is _HEAD_ONLY:
             return flat
         dh = dlogits @ t["head.W"].T
 
         if cfg.architecture == "ANML":
             gate = cache["gate"]
-            if parts & {Partition.NM, Partition.NM_FROZEN}:
+            if Partition.NM in parts or Partition.NM_FROZEN in parts:
                 dz2 = sigmoid_backward(gate, dh * cache["rep"])
                 dz1 = relu_backward(cache["nm_z1"], dz2 @ t["nm_out.W"].T)
                 if Partition.NM in parts:
@@ -246,7 +258,7 @@ class Classifier:
     def loss_and_grad(self, params: ParameterSet, batch, partition_filter):
         """Mean batch loss and its analytic gradient: one vector over
         ``params.span(partition_filter)``, in the layout of ``params.flat``."""
-        parts = set(partition_filter)
+        parts = frozenset(partition_filter)
         if not parts:
             raise InputError("partition filter is empty")
         if len(batch) == 0:
@@ -264,7 +276,7 @@ class Classifier:
             dlogits = dflat[:, None]
         else:
             loss, dlogits = softmax_cross_entropy(scores, batch.labels)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericalError(
                 "non-finite loss", payload={"loss": loss, "logits_max": float(np.abs(scores).max())}
             )

@@ -65,6 +65,7 @@ class ParameterSet:
         self.partitions = dict(partitions)
         self._slots = {n: slots[n] for n in tensors}
         self._layouts: dict = {}
+        self._all = frozenset(self.partitions.values())
         self._set_flat(np.empty(start))
         for name, t in tensors.items():
             self.tensors[name][...] = t
@@ -75,10 +76,14 @@ class ParameterSet:
 
     def _set_flat(self, flat):
         self.flat = flat
-        self.tensors = self.views(flat, set(self.partitions.values()))
+        self.tensors = self.views(flat, self._all)
 
-    def _layout(self, parts) -> tuple:
-        """(span, [(name, start, stop, shape) relative to the span]) of ``parts``."""
+    def layout(self, parts) -> tuple:
+        """(span, {name: (start, stop, shape) relative to the span}) of ``parts``.
+
+        Cached per partition set and shared with clones; a frozenset hits
+        the cache without being rebuilt.
+        """
         key = frozenset(parts)
         layout = self._layouts.get(key)
         if layout is None:
@@ -89,18 +94,19 @@ class ParameterSet:
             if any(a[1] != b[0] for a, b in zip(bounds, bounds[1:])):
                 raise InputError(f"partitions {sorted(key)} are not one contiguous slice")
             lo, hi = bounds[0][0], bounds[-1][1]
-            layout = self._layouts[key] = (slice(lo, hi), [
-                (n, a - lo, b - lo, shape) for n, (a, b, shape) in self._slots.items()
-                if lo <= a and b <= hi])
+            layout = self._layouts[key] = (slice(lo, hi), {
+                n: (a - lo, b - lo, shape) for n, (a, b, shape) in self._slots.items()
+                if lo <= a and b <= hi})
         return layout
 
     def span(self, parts) -> slice:
         """The slice of ``flat`` holding exactly the parameters in ``parts``."""
-        return self._layout(parts)[0]
+        return self.layout(parts)[0]
 
     def views(self, vector: np.ndarray, parts) -> dict:
         """Named, reshaped views into ``vector``, a vector over the span of ``parts``."""
-        return {n: vector[a:b].reshape(shape) for n, a, b, shape in self._layout(parts)[1]}
+        return {n: vector[a:b].reshape(shape)
+                for n, (a, b, shape) in self.layout(parts)[1].items()}
 
     def clone(self) -> "ParameterSet":
         """A copy of the parameter values with fresh (empty) Adam state.
@@ -111,6 +117,7 @@ class ParameterSet:
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
+        twin._all = self._all
         twin._set_flat(self.flat.copy())
         twin.adam_t = 0
         twin.adam_span = None
@@ -123,10 +130,6 @@ class ParameterSet:
 # Layer primitives
 # ---------------------------------------------------------------------------
 
-def linear_forward(x, W, b):
-    return x @ W + b
-
-
 def relu(x):
     return np.maximum(x, 0.0)
 
@@ -136,12 +139,10 @@ def relu_backward(x, dout):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), computed as exp(x) / (1 + exp(x)) where x < 0 so
+    that no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(s, dout):
@@ -155,18 +156,20 @@ def softmax_cross_entropy(logits, labels):
     Uses max-subtracted log-sum-exp for stability. Labels are class indices.
     """
     n, c = logits.shape
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= c:
         raise InputError(f"label out of range [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    # One buffer holds the shifted logits, then log-probabilities, then the
+    # gradient.
+    out = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logz = np.add.reduce(np.exp(out), axis=1, keepdims=True)
+    out -= np.log(logz, out=logz)
     true = np.arange(0, n * c, c) + labels  # flat index of each row's label
-    loss = -np.add.reduce(logp.ravel()[true]) / n
-    dlogits = np.exp(logp)
-    dlogits.ravel()[true] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    flat = out.ravel()
+    loss = -np.add.reduce(flat[true]) / n
+    np.exp(out, out=out)
+    flat[true] -= 1.0
+    out /= n
+    return loss, out
 
 
 def sigmoid_bce(logits, targets):
@@ -220,7 +223,7 @@ def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> Pa
     if beta < 0:
         raise InputError("beta must be non-negative")
     span = _span_and_check(params, grads, parts)
-    if not np.all(np.isfinite(grads)):
+    if not np.logical_and.reduce(np.isfinite(grads)):
         raise NumericalError(f"non-finite gradient over parameters {span}")
     if params.moments is None:
         params.adam_span = span

@@ -253,17 +253,20 @@ def load_text_task(path, task_id: int, config: FeaturizerConfig) -> TaskSpec:
     Labels are non-negative integers in the global label space.
     """
     labels, texts = [], []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                label, text = line.split("\t", 1)
-                labels.append(int(label))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
-            texts.append(text)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    label, text = line.split("\t", 1)
+                    labels.append(int(label))
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
+                texts.append(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
     if not texts:
         raise InputError(f"{path}: no records")
     feats = np.empty((len(texts), config.dim))

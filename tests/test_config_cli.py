@@ -224,6 +224,48 @@ def test_cli_rejects_unusable_runs_before_training(tmp_path, over):
     assert not out.exists()
 
 
+def _dataset_config(tmp_path, train_text="0\tworda common\n1\twordb common\n"):
+    """A config over one task file (written with ``train_text``) and its test file."""
+    train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    if train_text is not None:
+        train.write_bytes(train_text.encode("utf-8") if isinstance(train_text, str)
+                          else train_text)
+    test.write_text("0\tworda\n")
+    return {"method": "SEQ", "seeds": [0],
+            "dataset": {"train_files": [str(train)], "test_files": [str(test)],
+                        "featurizer": {"dim": 16}}}
+
+
+def _run_exits_2_and_writes_nothing(tmp_path, config_path):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_missing_config_file_exits_2(tmp_path):
+    _run_exits_2_and_writes_nothing(tmp_path, tmp_path / "absent.json")
+
+
+def test_cli_missing_dataset_file_exits_2(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, train_text=None)))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
+def test_cli_dataset_file_not_utf8_exits_2(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, train_text=b"0\t\xff\xfe\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_cli_non_finite_config_float_exits_2(tmp_path, literal):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal()).replace(
+        '"input_dim": 5', f'"input_dim": 5, "separation": {literal}'))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
 def test_p_write_zero_runs_without_meta_test_finetuning():
     rc = parse_config(_minimal(method="OML_ER", memory={"p_write": 0},
                                ablations={"no_meta_test_finetune": True}))

@@ -10,6 +10,7 @@ from metareplay.numerics import (
     ADAM_BETA2,
     ADAM_EPS,
     InputError,
+    NumericalError,
     ParameterSet,
     Partition,
     adam_step,
@@ -83,6 +84,8 @@ def test_softmax_ce_loss_oracle():
 def test_softmax_ce_rejects_bad_labels():
     with pytest.raises(InputError):
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(InputError):
+        softmax_cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
 
 
 def test_sigmoid_bce_gradient_matches_finite_differences():
@@ -180,6 +183,15 @@ def test_adam_beta_zero_is_identity_for_values():
     adam_step(params, np.array([1.0, 1.0]), 0.0, HEAD)
     np.testing.assert_allclose(params.tensors["p"], [3.0, -2.0])
     assert params.adam_t == 1  # state still advances
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adam_rejects_one_non_finite_gradient_entry(bad):
+    params = _param([1.0, 2.0, 3.0])
+    with pytest.raises(NumericalError):
+        adam_step(params, np.array([0.5, bad, -0.5]), 0.1, HEAD)
+    np.testing.assert_array_equal(params.tensors["p"], [1.0, 2.0, 3.0])
+    assert params.adam_t == 0 and params.moments is None
 
 
 def test_adam_state_survives_clone():
