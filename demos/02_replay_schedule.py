@@ -31,7 +31,7 @@ def trace_episodes(schedule: ReplaySchedule, n_batches: int):
 
     def stream():
         for i in range(n_batches):
-            yield task.take(np.arange(i * size, (i + 1) * size)), 0
+            yield task.take(np.arange(i * size, (i + 1) * size))
 
     memory = EpisodicMemory(1.0, [task], np.random.default_rng(0), np.random.default_rng(1))
     it = stream()
@@ -42,9 +42,9 @@ def trace_episodes(schedule: ReplaySchedule, n_batches: int):
         if ep is None:
             break
         if ep.query_source != MEMORY and ep.query is not None:
-            memory.write(ep.query, 0)
+            memory.write(ep.query)
         for b in ep.support:
-            memory.write(b, 0)
+            memory.write(b)
         marks.append("R" if ep.query_source == MEMORY else ".")
     print(f"  episode trace ({len(marks)} episodes, R = memory query):")
     for start in range(0, len(marks), 60):

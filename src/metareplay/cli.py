@@ -55,9 +55,11 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
         order_macros = []
         for oi, order in enumerate(cfg.orders):
             t0 = time.perf_counter()
-            accs, params, memory, trace, gates = run_learner(
-                model, suite, cfg.learner, seed,
-                stream_order=order, combined_test=cfg.combined_test)
+            # An overflow or NaN anywhere in training is a numerical failure.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                accs, params, memory, trace, gates = run_learner(
+                    model, suite, cfg.learner, seed,
+                    stream_order=order, combined_test=cfg.combined_test)
             elapsed = time.perf_counter() - t0
 
             record = MetricsRecord(
@@ -222,6 +224,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc} {exc.payload}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     raise AssertionError("unreachable")
 

@@ -14,7 +14,7 @@ from .episodes import ReplaySchedule
 from .learners import METHODS, LearnerConfig
 from .model import Classifier, ModelConfig
 from .numerics import InputError
-from .stream import FeaturizerConfig, Suite, load_text_task, make_synthetic_suite
+from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_suite
 
 _REQUIRED = object()
 
@@ -256,9 +256,14 @@ def build_suite(run_config: RunConfig) -> Suite:
         return make_synthetic_suite(**run_config.suite_spec)
     d = run_config.dataset_spec
     feat = FeaturizerConfig(**d["featurizer"])
-    train = [load_text_task(p, i, feat) for i, p in enumerate(d["train_files"])]
-    test = [load_text_task(p, i, feat) for i, p in enumerate(d["test_files"])]
-    return Suite(train, test, meta={"dataset": d})
+    suite = Suite(load_text_tasks(d["train_files"], feat),
+                  load_text_tasks(d["test_files"], feat), meta={"dataset": d})
+    for path, task in zip(d["test_files"], suite.test):
+        top = int(task.labels.max())
+        if top >= suite.num_classes:
+            raise InputError(f"{path}: test label {top} is outside the model's "
+                             f"{suite.num_classes} classes (0 to the largest training label)")
+    return suite
 
 
 def build_model(run_config: RunConfig, suite: Suite) -> Classifier:

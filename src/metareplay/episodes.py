@@ -8,8 +8,9 @@ replayed after each window of ``R_I`` stream examples.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .numerics import InputError
 from .stream import Batch
@@ -62,16 +63,13 @@ class Episode:
     """Support batches plus one query batch and the query's provenance.
 
     ``query`` is None only on a degenerate stream tail (a single leftover
-    batch), in which case the outer update is skipped. Task-id fields exist
-    for diagnostics and memory tagging; learners never branch on them.
+    batch), in which case the outer update is skipped.
     """
 
     index: int
     support: list
     query: object | None
     query_source: str
-    support_task_ids: list = field(default_factory=list)
-    query_task_id: int | None = None
     replay_skipped: bool = False  # replay was due but memory was empty
 
 
@@ -79,37 +77,24 @@ def next_episode(stream_iter, memory, schedule: ReplaySchedule, index: int,
                  allow_replay: bool = True) -> Episode | None:
     """Build episode ``index`` (1-based) from the stream, or None at stream end.
 
-    ``stream_iter`` yields (batch, task_id) pairs. On a memory-sourced query
-    the stream is not advanced for the query. If the stream ends mid-support,
-    the last collected batch becomes the query; a lone final batch yields an
-    episode with no query.
+    ``stream_iter`` yields batches. On a memory-sourced query the stream is
+    not advanced for the query. If the stream ends mid-support, the last
+    collected batch becomes the query; a lone final batch yields an episode
+    with no query.
     """
-    support, tids = [], []
-    for _ in range(schedule.support_size):
-        try:
-            batch, tid = next(stream_iter)
-        except StopIteration:
-            break
-        support.append(batch)
-        tids.append(tid)
+    support = list(itertools.islice(stream_iter, schedule.support_size))
     if not support:
         return None
 
     replay_due = allow_replay and index % schedule.frequency == 0
     if replay_due and len(memory) > 0:
         query = memory.sample(schedule.replay_batch_size)
-        return Episode(index, support, query, MEMORY, tids)
+        return Episode(index, support, query, MEMORY)
 
-    try:
-        query, qtid = next(stream_iter)
-        return Episode(index, support, query, STREAM, tids, qtid,
-                       replay_skipped=replay_due)
-    except StopIteration:
-        if len(support) >= 2:
-            query, qtid = support.pop(), tids.pop()
-            return Episode(index, support, query, STREAM, tids, qtid,
-                           replay_skipped=replay_due)
-        return Episode(index, support, None, STREAM, tids, replay_skipped=replay_due)
+    query = next(stream_iter, None)
+    if query is None and len(support) >= 2:
+        query = support.pop()
+    return Episode(index, support, query, STREAM, replay_skipped=replay_due)
 
 
 def meta_test_episode(memory, test_batch, support_size: int, batch_size: int,

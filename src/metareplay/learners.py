@@ -9,6 +9,7 @@ A-GEM, MTL) take one Adam step per batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from .memory import EpisodicMemory
 from .model import Classifier, score_accuracy
 from .numerics import InputError, adam_step, sgd_step
 from .rngs import named_rngs
-from .stream import BatchStream, StreamConfig, TaskSpec, pooled_batches
+from .stream import BatchStream, StreamConfig, one_split, pooled_batches
 
 META_METHODS = ("OML_ER", "ANML_ER", "MAML_ER")
 BASELINE_METHODS = ("SEQ", "REPLAY", "AGEM", "MTL")
@@ -47,6 +48,8 @@ class LearnerConfig:
             raise InputError("continual methods are single-pass (epochs must be 1)")
         if not 0.0 <= self.p_write <= 1.0:
             raise InputError("p_write must be in [0, 1]")
+        if not all(0.0 <= lr < math.inf for lr in (self.inner_lr, self.outer_lr)):
+            raise InputError("learning rates must be finite and non-negative")
         if (self.method in META_METHODS and not self.no_meta_test_finetune
                 and self.p_write == 0):
             raise InputError("p_write 0 leaves memory empty, but meta-test fine-tuning "
@@ -111,7 +114,7 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
                             rngs["memory_sample"])
     trace = TrainingTrace()
 
-    it = stream.with_task_ids()
+    it = iter(stream)
     index = 0
     while True:
         index += 1
@@ -119,9 +122,9 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
         if ep is None:
             break
         if ep.query_source == STREAM and ep.query is not None:
-            memory.write(ep.query, ep.query_task_id)
-        for batch, tid in zip(ep.support, ep.support_task_ids):
-            memory.write(batch, tid)
+            memory.write(ep.query)
+        for batch in ep.support:
+            memory.write(batch)
         if ep.query_source == MEMORY:
             trace.replay_episodes += 1
         if ep.replay_skipped:
@@ -177,12 +180,6 @@ def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig):
     return [evaluate(task) for task in test_tasks], gate_records
 
 
-def _concat_tasks(tasks):
-    return TaskSpec(-1,
-                    np.concatenate([t.features for t in tasks]),
-                    np.concatenate([t.labels for t in tasks]))
-
-
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
@@ -227,7 +224,7 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
     cadence = schedule.baseline_frequency
 
     step = 0
-    for batch, tid in stream.with_task_ids():
+    for batch in stream:
         step += 1
         _, grads = model.loss_and_grad(params, batch, parts)
         if agem and step % cadence == 0 and len(memory) > 0:
@@ -236,11 +233,12 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
             sample = grad_dot(grads, g_ref, step)
             trace.alignment.append(sample)
             grads, violated = agem_project(grads, g_ref)
-            if violated:
+            if violated:  # keyed by the task of the batch's first row
+                tid = int(memory.task_ids(batch.rows[:1])[0])
                 trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
         adam_step(params, grads, config.outer_lr, parts)
         trace.optimizer_steps += 1
-        memory.write(batch, tid)
+        memory.write(batch)
         if replay and step % cadence == 0 and len(memory) > 0:
             replay_batch = memory.sample(schedule.replay_batch_size)
             _, grads = model.loss_and_grad(params, replay_batch, parts)
@@ -277,11 +275,11 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
         stream_order=None, combined_test: bool = False):
     """Train with the configured method and evaluate on the suite's test sets.
 
-    With ``combined_test`` the test sets are concatenated into one, so every
+    With ``combined_test`` the test split is scored as one task, so every
     method reports a single accuracy over all test examples.
     Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
-    test = [_concat_tasks(suite.test)] if combined_test and suite.test else suite.test
+    test = [one_split(suite.test)] if combined_test and suite.test else suite.test
     if config.method == "MTL":
         params, memory, trace = train_mtl(model, suite.train, config, seed)
         accs = evaluate_direct(model, params, test)

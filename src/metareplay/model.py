@@ -66,21 +66,9 @@ class ModelConfig:
 
 @dataclass
 class GateRecord:
-    """Per-example NM gate values plus saturation summary."""
+    """Per-example NM gate values (summarized by ``diagnostics.gate_stats``)."""
 
     values: np.ndarray  # (n_examples, gate_width), all in [0, 1]
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-    @property
-    def frac_high(self) -> float:
-        return float((self.values > 0.99).mean())
-
-    @property
-    def frac_low(self) -> float:
-        return float((self.values < 0.01).mean())
 
 
 def _glorot(rng, fan_in, fan_out):

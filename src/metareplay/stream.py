@@ -3,8 +3,11 @@
 A continual run makes exactly one pass over a stream of tasks. Examples are
 shuffled within a task (locally i.i.d.) but tasks are never interleaved, and
 batches never span a task boundary. Batches visible to learners carry
-features and labels only; task identity is tracked separately for
-diagnostics.
+features and labels only.
+
+A suite's train (or test) side is one split: one features array and one
+labels array. Each task is a consecutive row range of its split, so the task
+of a split row follows from the tasks' offsets.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ class Batch:
     (input, candidate) pair row per candidate, and ``labels`` holds the index
     of the true candidate in [0, K).
 
-    ``rows`` holds the row indices into the task a batch was taken from
-    (``TaskSpec.take`` sets it; any other batch has None). It is not a
-    field: learners never read it, the episodic memory stores it instead of
-    copying features.
+    ``rows`` holds the split rows a batch was taken from (``TaskSpec.take``
+    sets it; any other batch has None). It is not a field: learners never
+    read it, the episodic memory stores it instead of copying features.
     """
 
     features: np.ndarray
@@ -46,25 +48,67 @@ class Batch:
 
 @dataclass
 class TaskSpec:
-    """One task's labelled examples. The id is for evaluation/diagnostics only."""
+    """One task's labelled examples: rows [offset, offset + size) of a split.
+
+    ``features`` and ``labels`` are views of the split's arrays, and
+    ``whole`` is the split as a TaskSpec of its own. A TaskSpec built by hand
+    (no ``whole``) is its own split, at offset 0. The id is for
+    evaluation/diagnostics only.
+    """
 
     task_id: int
     features: np.ndarray
     labels: np.ndarray
+    offset: int = 0
+    whole: TaskSpec | None = field(default=None, repr=False)
+
+    @property
+    def split(self) -> TaskSpec:
+        return self if self.whole is None else self.whole
 
     @property
     def size(self) -> int:
         return self.features.shape[0]
 
     def take(self, idx):
-        """A copy of the rows at an integer index array ``idx``, recording it."""
-        return Batch(self.features[idx], self.labels[idx], idx)
+        """A copy of the rows at an integer index array ``idx`` into this
+        task, recording them as split rows."""
+        rows = idx if self.whole is None else np.arange(self.offset, self.offset + self.size)[idx]
+        return Batch(self.features[idx], self.labels[idx], rows)
 
     def full_batch(self):
         """The whole task as a read-only batch over the task's own arrays."""
         features, labels = self.features.view(), self.labels.view()
         features.flags.writeable = labels.flags.writeable = False
         return Batch(features, labels)
+
+
+def split_tasks(task_ids, features, labels, sizes) -> list:
+    """TaskSpecs over consecutive row ranges of one split, ``sizes[i]`` rows
+    for the i-th id; ``features`` and ``labels`` hold every row of the split."""
+    if sum(sizes) != features.shape[0] or labels.shape != features.shape[:1]:
+        raise InputError("task sizes must add up to the split's rows")
+    whole = TaskSpec(-1, features, labels)
+    tasks, offset = [], 0
+    for task_id, size in zip(task_ids, sizes):
+        stop = offset + size
+        tasks.append(TaskSpec(task_id, features[offset:stop], labels[offset:stop],
+                              offset, whole))
+        offset = stop
+    return tasks
+
+
+def one_split(tasks) -> TaskSpec:
+    """The split that ``tasks`` cover in list order, without gaps or overlaps."""
+    if not tasks:
+        raise InputError("empty task list")
+    split = tasks[0].split
+    starts = np.cumsum([0] + [t.size for t in tasks]).tolist()
+    if starts[-1] == split.size and all(t.split is split and t.offset == start
+                                        for t, start in zip(tasks, starts)):
+        return split
+    raise InputError("tasks must be the consecutive row ranges of one split: one features "
+                     "array, so one row shape (one candidate count K per run)")
 
 
 @dataclass(frozen=True)
@@ -111,51 +155,42 @@ def featurize(text: str, config: FeaturizerConfig, out: np.ndarray | None = None
 class BatchStream:
     """Single-pass batch iterator over an ordered sequence of tasks.
 
-    Iterating yields plain ``Batch`` objects; ``with_task_ids`` additionally
-    yields the originating task id for harness-side diagnostics and memory
-    tagging. Each example is emitted exactly once.
+    The tasks must cover one split. Iterating yields plain ``Batch`` objects
+    taken from the split, so their ``rows`` are split rows. Each example is
+    emitted exactly once.
     """
 
     def __init__(self, tasks, config: StreamConfig, rng: np.random.Generator):
-        if not tasks:
-            raise InputError("empty task list")
+        self.split = one_split(tasks)
         if sorted(config.order) != list(range(len(tasks))):
             raise InputError("order must be a permutation of task positions")
         for t in tasks:
             if t.size == 0:
                 raise InputError(f"task {t.task_id} is empty")
-        if len({t.features.shape[1:] for t in tasks}) > 1:
-            raise InputError("all tasks need one feature shape (one candidate count K per run)")
         self.tasks = [tasks[i] for i in config.order]
         self.config = config
         self._rng = rng
 
-    def total_batches(self) -> int:
-        b = self.config.batch_size
-        return sum(-(-t.size // b) for t in self.tasks)
-
-    def with_task_ids(self):
-        b = self.config.batch_size
-        for task in self.tasks:
-            perm = self._rng.permutation(task.size)
-            for start in range(0, task.size, b):
-                yield task.take(perm[start : start + b]), task.task_id
-
     def __iter__(self):
-        for batch, _ in self.with_task_ids():
-            yield batch
+        b = self.config.batch_size
+        take = self.split.take
+        for task in self.tasks:
+            rows = self._rng.permutation(task.size) + task.offset
+            for start in range(0, task.size, b):
+                yield take(rows[start : start + b])
 
 
 def pooled_batches(tasks, batch_size: int, rng: np.random.Generator, epochs: int = 1):
-    """I.i.d. batches from the pool of all tasks, reshuffled every epoch (MTL)."""
-    features = np.vstack([t.features for t in tasks])
-    labels = np.concatenate([t.labels for t in tasks])
-    n = features.shape[0]
+    """I.i.d. batches from the pool of all tasks, reshuffled every epoch (MTL).
+
+    The tasks must cover one split; batches are indexed from its arrays."""
+    split = one_split(tasks)
+    n = split.size
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            yield Batch(features[idx], labels[idx])
+            yield Batch(split.features[idx], split.labels[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +254,26 @@ def make_synthetic_suite(
         task_sizes[big] += total - int(task_sizes.sum())  # keep the total budget
         task_sizes = task_sizes.tolist()
 
-    train, test = [], []
+    # One train split and one test split, filled task by task with the draws
+    # in the order per-task arrays would take them.
+    starts = np.cumsum([0] + task_sizes).tolist()
+    train_f, train_l = np.empty((starts[-1], input_dim)), np.empty(starts[-1], dtype=np.int64)
+    nt = classes_per_task * test_per_class
+    test_f, test_l = np.empty((num_tasks * nt, input_dim)), np.empty(num_tasks * nt, dtype=np.int64)
     for t in range(num_tasks):
         classes = np.arange(t * classes_per_task, (t + 1) * classes_per_task)
         n = task_sizes[t]
         labels = classes[np.arange(n) % classes_per_task]
         feats = means[labels] + rng.standard_normal((n, input_dim))
         perm = rng.permutation(n)
-        train.append(TaskSpec(t, feats[perm], labels[perm]))
-        if test_per_class > 0:
-            nt = classes_per_task * test_per_class
+        train_f[starts[t]:starts[t + 1]] = feats[perm]
+        train_l[starts[t]:starts[t + 1]] = labels[perm]
+        if nt > 0:
             tlabels = classes[np.arange(nt) % classes_per_task]
-            tfeats = means[tlabels] + rng.standard_normal((nt, input_dim))
-            test.append(TaskSpec(t, tfeats, tlabels))
+            test_l[t * nt:(t + 1) * nt] = tlabels
+            test_f[t * nt:(t + 1) * nt] = means[tlabels] + rng.standard_normal((nt, input_dim))
+    train = split_tasks(range(num_tasks), train_f, train_l, task_sizes)
+    test = split_tasks(range(num_tasks), test_f, test_l, [nt] * num_tasks) if nt > 0 else []
 
     meta = dict(
         kind=kind,
@@ -247,29 +289,37 @@ def make_synthetic_suite(
     return Suite(train, test, meta)
 
 
-def load_text_task(path, task_id: int, config: FeaturizerConfig) -> TaskSpec:
-    """Load one task from a UTF-8 file of ``label<TAB>text`` lines.
+def load_text_tasks(paths, config: FeaturizerConfig) -> list:
+    """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
+    per file, with the file's position as its task id.
 
-    Labels are non-negative integers in the global label space.
+    Labels are non-negative integers in the global label space. Every text
+    of the split is read first, then featurized into its row of one array.
     """
-    labels, texts = [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    label, text = line.split("\t", 1)
-                    labels.append(int(label))
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
-                texts.append(text)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
-    if not texts:
-        raise InputError(f"{path}: no records")
+    labels, texts, sizes = [], [], []
+    for path in paths:
+        start = len(texts)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    try:
+                        label, text = line.split("\t", 1)
+                        label = int(label)
+                    except ValueError as exc:
+                        raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
+                    if label < 0:
+                        raise InputError(f"{path}:{lineno}: label {label} is negative")
+                    labels.append(label)
+                    texts.append(text)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
+        if len(texts) == start:
+            raise InputError(f"{path}: no records")
+        sizes.append(len(texts) - start)
     feats = np.empty((len(texts), config.dim))
     for row, text in zip(feats, texts):
         featurize(text, config, row)
-    return TaskSpec(task_id, feats, np.array(labels))
+    return split_tasks(range(len(paths)), feats, np.array(labels), sizes)

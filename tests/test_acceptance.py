@@ -80,10 +80,10 @@ def test_criterion_1_schedule_arithmetic():
     # floor(episodes / R_F).
     from metareplay.episodes import next_episode
     from metareplay.memory import EpisodicMemory
-    from metareplay.stream import TaskSpec
+    from metareplay.stream import split_tasks
     sched = ReplaySchedule(4, 3, 48, 0.25)
-    tasks = [TaskSpec(t, np.zeros((120, 2)), np.zeros(120, dtype=int)) for t in range(3)]
-    batches = [(tasks[b % 3].take(np.arange(4 * (b // 3), 4 * (b // 3) + 4)), b % 3)
+    tasks = split_tasks(range(3), np.zeros((360, 2)), np.zeros(360, dtype=int), [120] * 3)
+    batches = [tasks[b % 3].take(np.arange(4 * (b // 3), 4 * (b // 3) + 4))
                for b in range(90)]
     it = iter(batches)
     mem = EpisodicMemory(1.0, tasks, np.random.default_rng(0), np.random.default_rng(1))
@@ -97,9 +97,9 @@ def test_criterion_1_schedule_arithmetic():
             n_memory += 1
         else:
             if ep.query is not None:
-                mem.write(ep.query, ep.query_task_id)
-        for b, tid in zip(ep.support, ep.support_task_ids):
-            mem.write(b, tid)
+                mem.write(ep.query)
+        for b in ep.support:
+            mem.write(b)
     elapsed = time.perf_counter() - t0
     ok = ok and n_memory == total // sched.frequency and elapsed < 1.0
     _report(1, ok, f"R_F(9600,16,5)=101, R_F(1600,4,5)=67, baseline 600, "

@@ -1,6 +1,7 @@
 """Config parsing and the command-line entry points."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -224,13 +225,15 @@ def test_cli_rejects_unusable_runs_before_training(tmp_path, over):
     assert not out.exists()
 
 
-def _dataset_config(tmp_path, train_text="0\tworda common\n1\twordb common\n"):
-    """A config over one task file (written with ``train_text``) and its test file."""
+def _dataset_config(tmp_path, train_text="0\tworda common\n1\twordb common\n",
+                    test_text="0\tworda\n"):
+    """A config over one task file (written with ``train_text``, or left
+    missing if None) and its test file."""
     train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
     if train_text is not None:
         train.write_bytes(train_text.encode("utf-8") if isinstance(train_text, str)
                           else train_text)
-    test.write_text("0\tworda\n")
+    test.write_text(test_text)
     return {"method": "SEQ", "seeds": [0],
             "dataset": {"train_files": [str(train)], "test_files": [str(test)],
                         "featurizer": {"dim": 16}}}
@@ -256,6 +259,28 @@ def test_cli_dataset_file_not_utf8_exits_2(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_dataset_config(tmp_path, train_text=b"0\t\xff\xfe\n")))
     _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
+def test_cli_negative_train_label_exits_2(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, "0\tworda\n1\twordb\n-1\twordc\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
+def test_cli_test_label_outside_training_classes_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, test_text="7\tworda\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "test label 7" in capsys.readouterr().err
+
+
+def test_cli_overflow_in_training_exits_3(tmp_path, capsys):
+    # Adam's second moment overflows to inf, which would zero the step and
+    # let the run finish with a plausible accuracy.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal(method="OML_ER", learning={"inner_lr": 1e300})))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -336,23 +361,63 @@ def _mutate(cfg, mutations):
     return cfg
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverging runs must exit 3
+# Rates and p_write that every run must reject: negative or not finite.
+_RATES = (("learning", "inner_lr"), ("learning", "outer_lr"), ("schedule", "replay_rate"),
+          ("memory", "p_write"))
+
+# Dataset files every run must reject: (train text, or None for a missing
+# file; test text).
+_BAD_DATASETS = {
+    "missing": (None, "0\tworda\n"),
+    "empty": ("", "0\tworda\n"),
+    "non-integer label": ("x\tworda\n", "0\tworda\n"),
+    "negative label": ("0\tworda\n1\twordb\n-1\twordc\n", "0\tworda\n"),
+    "unseen test label": ("0\tworda\n1\twordb\n", "7\tworda\n"),
+}
+
+
+def _has_bad_rate(cfg) -> bool:
+    for section, key in _RATES:
+        value = cfg.get(section)
+        value = value.get(key) if isinstance(value, dict) else None
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and not (math.isfinite(value) and value >= 0)):
+            return True
+    return False
+
+
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@example("SEQ", [("set", ("seeds",), [-1])], False)
-@example("SEQ", [("set", ("seeds",), [])], False)
-@example("MTL", [("set", ("suite", "seed"), -1)], False)
-@example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 0)], False)
-@example("OML_ER", [("set", ("model", "encoder_dims"), [0])], False)
-@example("OML_ER", [("set", ("learning", "outer_lr"), 1e308)], False)
+@example("SEQ", [("set", ("seeds",), [-1])], False, None)
+@example("SEQ", [("set", ("seeds",), [])], False, None)
+@example("MTL", [("set", ("suite", "seed"), -1)], False, None)
+@example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 0)], False, None)
+@example("OML_ER", [("set", ("model", "encoder_dims"), [0])], False, None)
+@example("OML_ER", [("set", ("learning", "outer_lr"), 1e308)], False, None)
+@example("OML_ER", [("set", ("learning", "inner_lr"), 1e300)], False, None)
+@example("SEQ", [("set", ("learning", "inner_lr"), -0.5)], False, None)
+@example("MTL", [("set", ("learning", "outer_lr"), float("inf"))], False, None)
+@example("AGEM", [("set", ("seeds",), [0])], False, "unseen test label")
+@example("REPLAY", [("set", ("seeds",), [0])], False, "negative label")
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
-       _MUTATIONS, st.booleans())
-def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap):
+       _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
+def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
+    """Any config exits 0, 2 or 3; a known-invalid one exits 2 before it
+    writes anything."""
     cfg = _mutate(_tiny(method), mutations)
-    if wrap:  # a config that is not a JSON object
-        cfg = [cfg]
     with tempfile.TemporaryDirectory() as tmp:
+        if bad_dataset is not None:  # swap the data source for faulty task files
+            cfg.pop("suite", None)
+            cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
+        invalid = wrap or bad_dataset is not None or _has_bad_rate(cfg)
+        if wrap:  # a config that is not a JSON object
+            cfg = [cfg]
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
-        code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3)
+        out = Path(tmp) / "out"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        wrote = out.exists()
+    if invalid:
+        assert code == 2 and not wrote
+    else:
+        assert code in (0, 2, 3)

@@ -34,7 +34,7 @@ def _batch(i):
 def _stream(n_batches):
     def gen():
         for i in range(n_batches):
-            yield _batch(i), 0
+            yield _batch(i)
     return gen()
 
 
@@ -92,9 +92,9 @@ def test_memory_query_count_matches_floor_formula():
         if ep is None:
             break
         if ep.query_source == STREAM and ep.query is not None:
-            mem.write(ep.query, 0)
+            mem.write(ep.query)
         for b in ep.support:
-            mem.write(b, 0)
+            mem.write(b)
         episodes.append(ep)
     total = len(episodes)
     # Independent consumption simulation: support eats up to m batches; a
@@ -138,7 +138,7 @@ def test_no_replay_flag_suppresses_memory_queries():
                            replay_rate=1.0)
     it = _stream(20)
     mem = _mem()
-    mem.write(_batch(0), 0)
+    mem.write(_batch(0))
     for index in range(1, 11):
         ep = next_episode(it, mem, sched, index, allow_replay=False)
         if ep is None:
@@ -152,7 +152,7 @@ def test_replay_query_does_not_consume_stream():
     assert sched.frequency == 1
     it = _stream(4)
     mem = _mem()
-    mem.write(_batch(1), 0)
+    mem.write(_batch(1))
     seen = []
     for index in range(1, 10):
         ep = next_episode(it, mem, sched, index)
@@ -190,7 +190,7 @@ def test_exhausted_stream_returns_none():
 
 def test_meta_test_episode_shapes():
     mem = _mem()
-    mem.write(TASK.take(np.arange(100)), 0)
+    mem.write(TASK.take(np.arange(100)))
     test_batch = Batch(np.zeros((7, 2)), np.zeros(7, dtype=int))
     ep = meta_test_episode(mem, test_batch, support_size=5, batch_size=8)
     assert len(ep.support) == 5

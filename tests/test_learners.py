@@ -17,7 +17,7 @@ from metareplay.learners import (
 )
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
-from metareplay.stream import BatchStream, StreamConfig, Suite, TaskSpec
+from metareplay.stream import BatchStream, StreamConfig, Suite, TaskSpec, split_tasks
 
 RNG = np.random.default_rng(23)
 
@@ -282,8 +282,14 @@ def _candidate_suite(ks=(3, 3, 3), dim=4, n=24):
         features[np.arange(size), labels] += 1.0
         return TaskSpec(tid, features, labels)
 
-    return Suite([task(t, k, n) for t, k in enumerate(ks)],
-                 [task(t, k, n // 2) for t, k in enumerate(ks)])
+    def split(size):
+        tasks = [task(t, k, size) for t, k in enumerate(ks)]
+        if len(set(ks)) > 1:  # no one features array holds them
+            return tasks
+        return split_tasks(range(len(ks)), np.concatenate([t.features for t in tasks]),
+                           np.concatenate([t.labels for t in tasks]), [size] * len(ks))
+
+    return Suite(split(n), split(n // 2))
 
 
 @pytest.mark.parametrize("combined", [False, True])

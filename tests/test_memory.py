@@ -11,7 +11,7 @@ from metareplay.numerics import InputError
 from metareplay.episodes import ReplaySchedule
 from metareplay.learners import LearnerConfig, run_meta_training, train_sequential
 from metareplay.model import Classifier, ModelConfig
-from metareplay.stream import Batch, TaskSpec, make_synthetic_suite
+from metareplay.stream import Batch, TaskSpec, make_synthetic_suite, split_tasks
 
 
 def _rngs(seed):
@@ -25,6 +25,13 @@ def _task(n, tag=0.0, task_id=0):
     feats = np.full((n, 2), tag)
     feats[:, 1] = np.arange(n)
     return TaskSpec(task_id, feats, np.zeros(n, dtype=int))
+
+
+def _split(*tasks):
+    """The hand-built ``tasks`` as consecutive row ranges of one split."""
+    return split_tasks([t.task_id for t in tasks],
+                       np.concatenate([t.features for t in tasks]),
+                       np.concatenate([t.labels for t in tasks]), [t.size for t in tasks])
 
 
 TASK = _task(5000)
@@ -85,20 +92,20 @@ class ListMemory:
 
 def test_p_write_one_admits_everything():
     mem = _memory(1.0)
-    admitted = mem.write(_batch(37), task_id=0)
+    admitted = mem.write(_batch(37))
     assert admitted == 37 and len(mem) == 37 and mem.offers == 37
 
 
 def test_p_write_zero_admits_nothing():
     mem = _memory(0.0)
-    assert mem.write(_batch(50), task_id=0) == 0
+    assert mem.write(_batch(50)) == 0
     assert len(mem) == 0 and mem.offers == 50
 
 
 def test_partial_p_write_within_binomial_bounds():
     p, n = 0.3, 5000
     mem = _memory(p, seed=4)
-    mem.write(_batch(n), task_id=0)
+    mem.write(_batch(n))
     sigma = np.sqrt(n * p * (1 - p))
     assert abs(len(mem) - n * p) <= 3 * sigma
 
@@ -108,14 +115,14 @@ def test_writes_are_per_example_not_per_batch():
     p = 0.5
     mem = _memory(p, seed=8)
     for i in range(200):
-        mem.write(_batch(10, start=10 * i), task_id=0)
+        mem.write(_batch(10, start=10 * i))
     sigma = np.sqrt(2000 * p * (1 - p))
     assert abs(len(mem) - 1000) <= 3 * sigma
 
 
 def test_sampling_is_uniform_chi_square():
     mem = _memory(1.0, seed=1)
-    mem.write(_batch(40), task_id=0)
+    mem.write(_batch(40))
     counts = np.zeros(40)
     for _ in range(2000):
         sample = mem.sample(5)
@@ -125,7 +132,7 @@ def test_sampling_is_uniform_chi_square():
 
 def test_sample_has_no_duplicates_within_a_call():
     mem = _memory(1.0, seed=2)
-    mem.write(_batch(30), task_id=0)
+    mem.write(_batch(30))
     for _ in range(50):
         ids = mem.sample(12).features[:, 1]
         assert len(np.unique(ids)) == 12
@@ -133,7 +140,7 @@ def test_sample_has_no_duplicates_within_a_call():
 
 def test_short_sample_returns_everything_and_counts():
     mem = _memory(1.0)
-    mem.write(_batch(4), task_id=0)
+    mem.write(_batch(4))
     out = mem.sample(10)
     assert len(out) == 4 and mem.short_samples == 1
     out = mem.sample(4)
@@ -146,11 +153,11 @@ def test_empty_sample_raises():
 
 
 def test_composition_tracks_task_ids():
-    zero, other = _task(5), _task(5, task_id=2)
+    zero, other = _split(_task(5), _task(5, task_id=2))
     mem = _memory(1.0, tasks=(zero, other))
-    mem.write(_batch(5, task=zero), task_id=0)
-    mem.write(_batch(3, task=other), task_id=2)
-    mem.write(_batch(2, start=3, task=other), task_id=2)
+    mem.write(_batch(5, task=zero))
+    mem.write(_batch(3, task=other))
+    mem.write(_batch(2, start=3, task=other))
     assert mem.composition() == {0: 5, 2: 5}
 
 
@@ -162,7 +169,7 @@ def test_invalid_p_write_raises():
 def test_dump_format(tmp_path):
     task = TaskSpec(1, np.zeros((2, 2)), np.array([4, 7]))
     mem = _memory(1.0, tasks=(task,))
-    mem.write(task.take(np.arange(2)), task_id=1)
+    mem.write(task.take(np.arange(2)))
     path = tmp_path / "mem.tsv"
     mem.dump(path)
     assert path.read_text().splitlines() == ["1\t4", "1\t7"]
@@ -176,17 +183,18 @@ def test_matches_list_reference(p_write, row_shape):
     rng = np.random.default_rng(5)
     sizes = [16, 7, 16, 1, 16, 16, 3, 16, 16, 16]
     tids = [[3, 0, 2][step % 3] for step in range(len(sizes))]
-    tasks = {}
+    tasks = []
     for tid in (3, 0, 2):  # each task holds exactly the rows the stream takes from it
         n = sum(size for size, t in zip(sizes, tids) if t == tid)
-        tasks[tid] = TaskSpec(tid, rng.standard_normal((n,) + row_shape), rng.integers(0, 5, n))
+        tasks.append(TaskSpec(tid, rng.standard_normal((n,) + row_shape), rng.integers(0, 5, n)))
+    tasks = {t.task_id: t for t in _split(*tasks)}
     perms = {tid: iter(rng.permutation(t.size)) for tid, t in tasks.items()}
     mem = _memory(p_write, seed=11, tasks=list(tasks.values()))
     ref = ListMemory(p_write, *_rngs(11))
     assert mem.capacity == sum(sizes)
     for n, tid in zip(sizes, tids):
         batch = tasks[tid].take(np.fromiter(perms[tid], dtype=np.int64, count=n))
-        assert mem.write(batch, tid) == ref.write(batch, tid)
+        assert mem.write(batch) == ref.write(batch, tid)
         assert len(mem) == len(ref)
         if len(ref) > 0:
             for k in (1, 5, len(ref), len(ref) + 4):  # the last two return every row
@@ -205,19 +213,19 @@ def test_write_past_capacity_raises():
     task = _task(10)
     mem = _memory(1.0, tasks=(task,))
     assert mem.capacity == 10
-    mem.write(_batch(8, task=task), task_id=0)
+    mem.write(_batch(8, task=task))
     with pytest.raises(InputError, match="capacity"):
-        mem.write(_batch(3, task=task), task_id=0)
+        mem.write(_batch(3, task=task))
     assert len(mem) == 8 and mem.offers == 8
-    mem.write(_batch(2, start=8, task=task), task_id=0)
+    mem.write(_batch(2, start=8, task=task))
     assert len(mem) == 10
 
 
 def test_write_with_other_row_shape_raises():
     mem = _memory(1.0)
-    mem.write(_batch(3), task_id=0)
+    mem.write(_batch(3))
     with pytest.raises(InputError):
-        mem.write(Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), np.arange(2)), task_id=0)
+        mem.write(Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), np.arange(2)))
     with pytest.raises(InputError):  # one row shape for all tasks
         _memory(1.0, tasks=(TASK, TaskSpec(1, np.zeros((2, 3)), np.zeros(2, dtype=int))))
 
@@ -225,33 +233,30 @@ def test_write_with_other_row_shape_raises():
 def test_write_of_a_batch_without_rows_raises():
     mem = _memory(1.0)
     with pytest.raises(InputError, match="rows"):
-        mem.write(Batch(np.zeros((2, 2)), np.zeros(2, dtype=int)), task_id=0)
+        mem.write(Batch(np.zeros((2, 2)), np.zeros(2, dtype=int)))
     sample = _memory(1.0)
-    sample.write(_batch(4), task_id=0)
+    sample.write(_batch(4))
     with pytest.raises(InputError, match="rows"):  # a memory sample has none
-        mem.write(sample.sample(2), task_id=0)
+        mem.write(sample.sample(2))
     assert len(mem) == 0 and mem.offers == 0
 
 
-def test_write_with_unknown_task_id_raises():
-    mem = _memory(1.0)
-    with pytest.raises(InputError, match="not one of"):
-        mem.write(_batch(2), task_id=1)
-    assert len(mem) == 0 and mem.offers == 0
-
-
-def test_write_with_duplicate_task_id_raises():
-    first, second, other = _task(4), _task(4, tag=1.0), _task(4, task_id=5)
-    mem = _memory(1.0, tasks=(first, second, other))
-    with pytest.raises(InputError, match="two"):
-        mem.write(_batch(2, task=first), task_id=0)
-    assert mem.write(_batch(2, task=other), task_id=5) == 2
+def test_memory_needs_tasks_covering_one_split():
+    tasks = _split(_task(4), _task(4, tag=1.0), _task(4, task_id=5))
+    for bad in (tasks[1:], tasks[::-1], (TASK, _task(3))):
+        with pytest.raises(InputError, match="one split"):
+            _memory(1.0, tasks=bad)
+    mem = _memory(1.0, tasks=tasks)  # a task id may repeat: ids are diagnostic
+    assert mem.capacity == 12
+    mem.write(tasks[2].take(np.arange(3)))
+    mem.write(tasks[1].take(np.arange(2)))
+    assert mem.composition() == {0: 2, 5: 3}
 
 
 def test_sampled_batch_is_a_copy():
     task = _task(6, tag=1.0)
     mem = _memory(1.0, tasks=(task,))
-    mem.write(_batch(6, task=task), task_id=0)
+    mem.write(_batch(6, task=task))
     out = mem.sample(6)
     out.features[:] = -1.0
     out.labels[:] = 9
@@ -261,10 +266,10 @@ def test_sampled_batch_is_a_copy():
 
 
 def test_samples_gather_across_tasks_in_sampled_order():
-    tasks = [_task(20, tag=float(t), task_id=t) for t in range(3)]
+    tasks = _split(*(_task(20, tag=float(t), task_id=t) for t in range(3)))
     mem = _memory(1.0, seed=3, tasks=tasks)
     for t in (2, 0, 1):  # task 0's rows are given as negative indices
-        mem.write(tasks[t].take(np.arange(19, -1, -2) - 20 * (t == 0)), task_id=t)
+        mem.write(tasks[t].take(np.arange(19, -1, -2) - 20 * (t == 0)))
     stored = np.concatenate([tasks[t].features[19::-2] for t in (2, 0, 1)])
     ref_rng = _rngs(3)[1]
     for k in (12, 30, 31):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metareplay.diagnostics import gate_stats
 from metareplay.model import NM_OUTPUT_BIAS, Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, Partition
 from metareplay.stream import Batch
@@ -58,7 +59,7 @@ def test_anml_with_saturated_gate_equals_ungated_model():
     la, gate = anml.predict(p_anml, batch)
     lm, _ = maml.predict(p_maml, batch)
     np.testing.assert_allclose(la, lm, atol=1e-12)
-    assert gate.frac_high == 1.0
+    assert gate_stats([gate])[1] == 1.0
 
 
 def test_initial_gate_sits_near_its_bias():
@@ -69,7 +70,7 @@ def test_initial_gate_sits_near_its_bias():
     assert np.all(gate.values >= 0.0) and np.all(gate.values <= 1.0)
     # Fresh gates should hover around sigmoid(NM_OUTPUT_BIAS), not collapse.
     expected = 1.0 / (1.0 + np.exp(-NM_OUTPUT_BIAS))
-    assert abs(gate.mean - expected) < 0.15
+    assert abs(gate_stats([gate])[0] - expected) < 0.15
 
 
 @pytest.mark.parametrize("arch,inner,outer", [

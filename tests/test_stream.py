@@ -14,34 +14,37 @@ from metareplay.stream import (
     StreamConfig,
     TaskSpec,
     featurize,
-    load_text_task,
+    load_text_tasks,
     make_synthetic_suite,
+    one_split,
     pooled_batches,
+    split_tasks,
 )
 
 RNG = np.random.default_rng(11)
 
 
 def _tasks(sizes, dim=3):
-    out = []
-    for tid, n in enumerate(sizes):
-        out.append(TaskSpec(tid, RNG.standard_normal((n, dim)),
-                            np.full(n, tid, dtype=int)))
-    return out
+    """Tasks over one split; every label is its task's id."""
+    ids = range(len(sizes))
+    return split_tasks(ids, RNG.standard_normal((sum(sizes), dim)),
+                       np.repeat(ids, sizes), sizes)
 
 
 def test_batch_count_matches_ceil_formula():
     tasks = _tasks([2000, 2000, 2000, 2000, 2000])
     stream = BatchStream(tasks, StreamConfig(tuple(range(5)), 16), np.random.default_rng(0))
-    assert stream.total_batches() == 625
     assert sum(1 for _ in stream) == 625
 
 
 def test_batches_never_span_task_boundaries():
     tasks = _tasks([20, 33, 7])
     stream = BatchStream(tasks, StreamConfig((0, 1, 2), 8), np.random.default_rng(0))
-    for batch, tid in stream.with_task_ids():
-        assert np.all(batch.labels == tid)  # labels double as task markers here
+    for batch in stream:
+        task = tasks[batch.labels[0]]  # labels double as task markers here
+        assert np.all(batch.labels == task.task_id)
+        assert np.all((batch.rows >= task.offset) & (batch.rows < task.offset + task.size))
+        np.testing.assert_array_equal(batch.features, task.split.features[batch.rows])
 
 
 def test_single_pass_emits_every_example_exactly_once():
@@ -59,7 +62,7 @@ def test_single_pass_emits_every_example_exactly_once():
 def test_order_controls_task_sequence():
     tasks = _tasks([8, 8])
     stream = BatchStream(tasks, StreamConfig((1, 0), 8), np.random.default_rng(0))
-    tids = [tid for _, tid in stream.with_task_ids()]
+    tids = [int(b.labels[0]) for b in stream]
     assert tids == [1, 0]
 
 
@@ -72,6 +75,9 @@ def test_invalid_order_and_empty_inputs_raise():
     with pytest.raises(InputError):
         BatchStream([TaskSpec(0, np.zeros((0, 2)), np.zeros(0, dtype=int))],
                     StreamConfig((0,), 2), np.random.default_rng(0))
+    with pytest.raises(InputError, match="one split"):  # two hand-built tasks
+        BatchStream([TaskSpec(t, np.zeros((2, 2)), np.zeros(2, dtype=int)) for t in (0, 1)],
+                    StreamConfig((0, 1), 2), np.random.default_rng(0))
 
 
 def test_batch_carries_only_features_and_labels():
@@ -83,11 +89,13 @@ def test_batch_carries_only_features_and_labels():
 
 
 def test_take_records_rows_and_full_batch_is_a_read_only_view():
-    task = _tasks([5])[0]
-    idx = np.array([4, 0, 2])
+    first, task = _tasks([3, 5])
+    idx = np.array([4, 0, -1])
     batch = task.take(idx)
-    np.testing.assert_array_equal(batch.rows, idx)
+    np.testing.assert_array_equal(batch.rows, [7, 3, 7])  # split rows
     np.testing.assert_array_equal(batch.features, task.features[idx])
+    np.testing.assert_array_equal(batch.features, task.split.features[batch.rows])
+    np.testing.assert_array_equal(first.take(idx[:2] - 2).rows, [2, 1])
     full = task.full_batch()
     assert full.rows is None and len(full) == 5
     assert np.shares_memory(full.features, task.features)
@@ -174,19 +182,53 @@ def test_empty_text_featurizes_to_zero_vector():
 
 
 def test_load_text_task(tmp_path):
-    p = tmp_path / "task.tsv"
-    p.write_text("0\thello world\n1\tgoodbye moon\n", encoding="utf-8")
-    task = load_text_task(p, 3, FeaturizerConfig(dim=64))
-    assert task.task_id == 3 and task.size == 2
-    np.testing.assert_array_equal(task.labels, [0, 1])
+    a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
+    a.write_text("0\thello world\n1\tgoodbye moon\n", encoding="utf-8")
+    b.write_text("\n2\tsee you\n", encoding="utf-8")
+    config = FeaturizerConfig(dim=64)
+    tasks = load_text_tasks([a, b], config)
+    assert [(t.task_id, t.offset, t.size) for t in tasks] == [(0, 0, 2), (1, 2, 1)]
+    split = one_split(tasks)
+    np.testing.assert_array_equal(split.labels, [0, 1, 2])
     np.testing.assert_array_equal(
-        task.features, [featurize(t, FeaturizerConfig(dim=64)) for t in ("hello world",
-                                                                        "goodbye moon")])
+        split.features, [featurize(t, config) for t in ("hello world", "goodbye moon", "see you")])
+    assert np.shares_memory(tasks[1].features, split.features)
 
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("no tab here\n", encoding="utf-8")
+    for text in ("no tab here\n", "-1\tnegative label\n", "\n"):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="bad.tsv"):
+            load_text_tasks([a, bad], config)
+
+
+def test_split_tasks_are_views_of_one_split():
+    tasks = _tasks([4, 0, 3])
+    split = one_split(tasks)
+    assert split.task_id == -1 and split.split is split and split.size == 7
+    assert [(t.offset, t.size) for t in tasks] == [(0, 4), (4, 0), (4, 3)]
+    assert all(t.split is split and np.shares_memory(t.features, split.features)
+               for t in tasks if t.size)
+    hand = TaskSpec(0, np.zeros((2, 2)), np.zeros(2, dtype=int))
+    assert one_split([hand]) is hand and hand.offset == 0
+    for bad in ([hand, hand], tasks[::-1], tasks[:2], tasks[1:], []):
+        with pytest.raises(InputError):
+            one_split(bad)
     with pytest.raises(InputError):
-        load_text_task(bad, 0, FeaturizerConfig(dim=64))
+        split_tasks([0, 1], np.zeros((5, 2)), np.zeros(5), [2, 2])
+
+
+def test_suite_is_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    suite = make_synthetic_suite("BALANCED", 3, 2, 5, 4, seed=0, test_per_class=2)
+    refs = [weakref.ref(one_split(suite.train)), weakref.ref(one_split(suite.test))]
+    gc.disable()
+    try:
+        del suite
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # -- synthetic suites ---------------------------------------------------------
@@ -202,6 +244,7 @@ def test_balanced_suite_shapes_and_label_spaces():
         assert task.size == 40
         counts = np.bincount(task.labels, minlength=8)
         assert counts[task.task_id * 2] == 20 and counts[task.task_id * 2 + 1] == 20
+    assert one_split(suite.train).size == 400 and one_split(suite.test).size == 160
 
 
 def test_cluster_separation_matches_requested_minimum():
