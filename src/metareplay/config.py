@@ -10,6 +10,8 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .episodes import ReplaySchedule
 from .learners import METHODS, LearnerConfig
 from .model import Classifier, ModelConfig
@@ -253,7 +255,11 @@ def load_config(path) -> RunConfig:
 def build_suite(run_config: RunConfig) -> Suite:
     """Materialize the task suite (synthetic or from dataset files)."""
     if run_config.suite_spec is not None:
-        return make_synthetic_suite(**run_config.suite_spec)
+        try:  # a suite whose own numbers overflow is bad input, not a failed run
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return make_synthetic_suite(**run_config.suite_spec)
+        except FloatingPointError as exc:
+            raise InputError(f"suite: {exc} while building the synthetic suite") from exc
     d = run_config.dataset_spec
     feat = FeaturizerConfig(**d["featurizer"])
     suite = Suite(load_text_tasks(d["train_files"], feat),
@@ -270,4 +276,14 @@ def build_model(run_config: RunConfig, suite: Suite) -> Classifier:
     config = run_config.model
     if run_config.dataset_spec is not None:
         config = replace(config, num_classes=suite.num_classes)
+        # The data set the input width and the class count; reserve (never
+        # touch) the two weight matrices they size before anything is written.
+        size = (config.input_dim * config.encoder_dims[0]
+                + (config.encoder_dims[-1] + 1) * config.num_classes)
+        try:
+            np.empty(size)
+        except (MemoryError, ValueError) as exc:
+            raise InputError(f"a model over {config.input_dim} features and "
+                             f"{config.num_classes} classes (0 to the largest training "
+                             f"label) cannot be allocated") from exc
     return Classifier(config)

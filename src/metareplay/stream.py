@@ -5,9 +5,11 @@ shuffled within a task (locally i.i.d.) but tasks are never interleaved, and
 batches never span a task boundary. Batches visible to learners carry
 features and labels only.
 
-A suite's train (or test) side is one split: one features array and one
-labels array. Each task is a consecutive row range of its split, so the task
-of a split row follows from the tasks' offsets.
+A suite's train (or test) side is one split: one features store and one
+labels array. The store is a dense array, or for hashed text a
+``HashedRows`` (sparse rows that read as dense ones). Each task is a
+consecutive row range of its split, so the task of a split row follows from
+the tasks' offsets.
 """
 
 from __future__ import annotations
@@ -50,14 +52,15 @@ class Batch:
 class TaskSpec:
     """One task's labelled examples: rows [offset, offset + size) of a split.
 
-    ``features`` and ``labels`` are views of the split's arrays, and
+    ``features`` and ``labels`` are views of the split's features store
+    (an array or ``HashedRows``) and labels array, and
     ``whole`` is the split as a TaskSpec of its own. A TaskSpec built by hand
     (no ``whole``) is its own split, at offset 0. The id is for
     evaluation/diagnostics only.
     """
 
     task_id: int
-    features: np.ndarray
+    features: np.ndarray | HashedRows
     labels: np.ndarray
     offset: int = 0
     whole: TaskSpec | None = field(default=None, repr=False)
@@ -77,8 +80,9 @@ class TaskSpec:
         return Batch(self.features[idx], self.labels[idx], rows)
 
     def full_batch(self):
-        """The whole task as a read-only batch over the task's own arrays."""
-        features, labels = self.features.view(), self.labels.view()
+        """The whole task as a read-only batch over the task's own arrays
+        (over a dense copy of ``HashedRows`` features)."""
+        features, labels = np.asarray(self.features).view(), self.labels.view()
         features.flags.writeable = labels.flags.writeable = False
         return Batch(features, labels)
 
@@ -124,32 +128,95 @@ class FeaturizerConfig:
     l2_normalize: bool = True
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InputError("featurizer dim must be >= 2")
+        if not 2 <= self.dim <= 2**32:  # crc32 reaches no bucket past 2**32
+            raise InputError("featurizer dim must be in [2, 2**32]")
 
 
 _TOKEN_RE = re.compile(r"[\w']+")
 
 
-def featurize(text: str, config: FeaturizerConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Hashed bag-of-words: lowercase, split on non-word chars, hash to [0, D).
+class _Buckets(dict):
+    """token -> its hashed bucket in [0, dim); each distinct token is hashed once."""
 
-    The vector is written into ``out`` (a float64 row of length D) if given.
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token):
+        bucket = self[token] = zlib.crc32(token.encode("utf-8")) % self.dim
+        return bucket
+
+
+class HashedRows:
+    """The hashed bag-of-words rows of a text split, stored sparse (CSR).
+
+    Row i has the non-zero values ``vals[indptr[i]:indptr[i + 1]]`` at the
+    buckets ``cols[indptr[i]:indptr[i + 1]]``, in ascending bucket order;
+    the store's size does not depend on ``dim``. It stands in for the dense
+    float64 ``(n, dim)`` array wherever a split's features are read: a
+    row-range slice is a view over the same arrays, and indexing with an
+    integer array, ``take(rows, axis=0)`` and ``np.asarray`` return dense
+    float64 rows. Negative and out-of-range rows behave as in numpy.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if config.truncate is not None:
-        tokens = tokens[: config.truncate]
-    hashes = np.fromiter((zlib.crc32(tok.encode("utf-8")) for tok in tokens),
-                         dtype=np.int64, count=len(tokens))
-    counts = np.bincount(hashes % config.dim, minlength=config.dim)
-    if out is None:
-        out = np.empty(config.dim)
-    out[:] = counts
-    if config.l2_normalize:
-        norm = np.linalg.norm(out)
-        if norm > 0:
-            out /= norm
-    return out
+
+    def __init__(self, indptr, cols, vals, dim: int):
+        self.indptr, self.cols, self.vals = indptr, cols, vals
+        self.shape = (len(indptr) - 1, dim)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            rows = range(self.shape[0])[idx]
+            if rows.step != 1:
+                raise IndexError("a HashedRows slice must be a row range (step 1)")
+            stop = rows.start + len(rows)
+            return HashedRows(self.indptr[rows.start:stop + 1], self.cols, self.vals,
+                              self.shape[1])
+        return self.take(idx)
+
+    def take(self, rows, axis=0):
+        """Dense float64 copies of the rows at the integer index array ``rows``."""
+        if axis != 0:
+            raise ValueError("HashedRows.take reads rows: axis must be 0")
+        starts = self.indptr[:-1].take(rows)
+        lengths = self.indptr[1:].take(rows) - starts
+        dim = self.shape[1]
+        out = np.zeros((len(starts), dim))
+        # pos: the selected rows' cols/vals positions, run after run; flat:
+        # where each entry lands in ``out``.
+        ends = lengths.cumsum()
+        pos = np.repeat(starts - ends + lengths, lengths)
+        pos += np.arange(len(pos))
+        flat = np.repeat(np.arange(0, len(starts) * dim, dim), lengths)
+        flat += self.cols.take(pos)
+        out.ravel()[flat] = self.vals.take(pos)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        return self.take(np.arange(self.shape[0]))
+
+
+def _hashed_rows(lengths, buckets, config: FeaturizerConfig) -> HashedRows:
+    """Rows of bucket counts for documents of ``lengths`` tokens whose buckets
+    are concatenated in ``buckets``, L2-normalized if the config says so.
+
+    A row's norm is the square root of the exact integer sum of its squared
+    counts, equal to ``np.linalg.norm`` of the dense row while that sum is
+    below 2**53, so each count / norm is bit-identical to the dense value.
+    """
+    dim, n = config.dim, len(lengths)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths)
+    keys += np.asarray(buckets, dtype=np.int64)
+    keys, counts = np.unique(keys, return_counts=True)
+    row, cols = np.divmod(keys, dim)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    if not config.l2_normalize:
+        return HashedRows(indptr, cols, counts.astype(np.float64), dim)
+    squares = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts * counts, out=squares[1:])
+    norms = np.sqrt(np.diff(squares[indptr]))
+    return HashedRows(indptr, cols, counts / np.repeat(norms, np.diff(indptr)), dim)
 
 
 class BatchStream:
@@ -210,6 +277,10 @@ class Suite:
         return int(max(t.labels.max() for t in self.train)) + 1
 
 
+# The largest separation whose square is a finite float64.
+_MAX_SEPARATION = float(np.sqrt(np.finfo(np.float64).max))
+
+
 def make_synthetic_suite(
     kind: str,
     num_tasks: int,
@@ -232,6 +303,9 @@ def make_synthetic_suite(
         raise InputError(f"unknown suite kind {kind!r}")
     if seed < 0:
         raise InputError("suite seed must be non-negative")
+    if not abs(separation) <= _MAX_SEPARATION:
+        raise InputError(f"suite separation {separation} is too large: squared distances "
+                         "between class means would overflow float64")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5017E]))
     num_classes = num_tasks * classes_per_task
 
@@ -293,12 +367,16 @@ def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
     per file, with the file's position as its task id.
 
-    Labels are non-negative integers in the global label space. Every text
-    of the split is read first, then featurized into its row of one array.
+    Labels are non-negative int64 integers in the global label space. Each
+    text is tokenized (lowercased, split on non-word characters, cut to
+    ``truncate`` tokens) as it is read and each distinct token is hashed to
+    a bucket in [0, dim) once; the split's features are the ``HashedRows``
+    of the bucket counts, never a dense array.
     """
-    labels, texts, sizes = [], [], []
+    labels, sizes, lengths, buckets = [], [], [], []
+    bucket_of = _Buckets(config.dim).__getitem__
     for path in paths:
-        start = len(texts)
+        start = len(labels)
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, 1):
@@ -312,14 +390,16 @@ def load_text_tasks(paths, config: FeaturizerConfig) -> list:
                         raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
                     if label < 0:
                         raise InputError(f"{path}:{lineno}: label {label} is negative")
+                    if label >= 2**63:
+                        raise InputError(f"{path}:{lineno}: label {label} does not fit in int64")
                     labels.append(label)
-                    texts.append(text)
+                    tokens = _TOKEN_RE.findall(text.lower())[:config.truncate]
+                    lengths.append(len(tokens))
+                    buckets.extend(map(bucket_of, tokens))
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
-        if len(texts) == start:
+        if len(labels) == start:
             raise InputError(f"{path}: no records")
-        sizes.append(len(texts) - start)
-    feats = np.empty((len(texts), config.dim))
-    for row, text in zip(feats, texts):
-        featurize(text, config, row)
-    return split_tasks(range(len(paths)), feats, np.array(labels), sizes)
+        sizes.append(len(labels) - start)
+    return split_tasks(range(len(paths)), _hashed_rows(lengths, buckets, config),
+                       np.array(labels, dtype=np.int64), sizes)

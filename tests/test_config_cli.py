@@ -5,6 +5,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -274,6 +275,41 @@ def test_cli_test_label_outside_training_classes_exits_2(tmp_path, capsys):
     assert "test label 7" in capsys.readouterr().err
 
 
+def test_cli_label_outside_int64_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(
+        _dataset_config(tmp_path, "0\tworda\n100000000000000000000\twordb\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "train.tsv:2: label 100000000000000000000" in capsys.readouterr().err
+
+
+def test_cli_unallocatable_class_count_exits_2(tmp_path, capsys):
+    # Label 10**12 asks for a 233 TiB head: rejected before anything is written.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, "0\tworda\n1000000000000\twordb\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "1000000000001 classes" in capsys.readouterr().err
+
+
+def test_cli_overflowing_suite_separation_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal()).replace(
+        '"input_dim": 5', '"input_dim": 5, "separation": 1e308'))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "separation" in capsys.readouterr().err
+
+
+def test_overflow_while_building_a_suite_is_an_input_error(monkeypatch):
+    from metareplay import config as config_module
+
+    def overflowing_suite(**spec):
+        return np.float64(1e308) * 10.0
+
+    monkeypatch.setattr(config_module, "make_synthetic_suite", overflowing_suite)
+    with pytest.raises(InputError, match="overflow"):
+        build_suite(parse_config(_minimal()))
+
+
 def test_cli_overflow_in_training_exits_3(tmp_path, capsys):
     # Adam's second moment overflows to inf, which would zero the step and
     # let the run finish with a plausible accuracy.
@@ -373,7 +409,17 @@ _BAD_DATASETS = {
     "non-integer label": ("x\tworda\n", "0\tworda\n"),
     "negative label": ("0\tworda\n1\twordb\n-1\twordc\n", "0\tworda\n"),
     "unseen test label": ("0\tworda\n1\twordb\n", "7\tworda\n"),
+    "label outside int64": ("0\tworda\n100000000000000000000\twordb\n", "0\tworda\n"),
+    "unallocatable class count": ("0\tworda\n1000000000000\twordb\n", "0\tworda\n"),
 }
+
+
+def _has_huge_separation(cfg) -> bool:
+    """A suite separation whose square overflows float64."""
+    suite = cfg.get("suite")
+    value = suite.get("separation") if isinstance(suite, dict) else None
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) > 1.35e154)
 
 
 def _has_bad_rate(cfg) -> bool:
@@ -399,6 +445,7 @@ def _has_bad_rate(cfg) -> bool:
 @example("MTL", [("set", ("learning", "outer_lr"), float("inf"))], False, None)
 @example("AGEM", [("set", ("seeds",), [0])], False, "unseen test label")
 @example("REPLAY", [("set", ("seeds",), [0])], False, "negative label")
+@example("SEQ", [("set", ("suite", "separation"), 1e308)], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
@@ -409,7 +456,8 @@ def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_data
         if bad_dataset is not None:  # swap the data source for faulty task files
             cfg.pop("suite", None)
             cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
-        invalid = wrap or bad_dataset is not None or _has_bad_rate(cfg)
+        invalid = (wrap or bad_dataset is not None or _has_bad_rate(cfg)
+                   or _has_huge_separation(cfg))
         if wrap:  # a config that is not a JSON object
             cfg = [cfg]
         path = Path(tmp) / "config.json"

@@ -1,4 +1,4 @@
-"""Streams, featurization, and synthetic suite generation."""
+"""Streams, the hashed-text loader, and synthetic suite generation."""
 
 import re
 import zlib
@@ -12,8 +12,8 @@ from metareplay.stream import (
     BatchStream,
     FeaturizerConfig,
     StreamConfig,
+    HashedRows,
     TaskSpec,
-    featurize,
     load_text_tasks,
     make_synthetic_suite,
     one_split,
@@ -115,21 +115,10 @@ def test_pooled_batches_cover_pool_each_epoch():
     assert any(len(np.unique(b.labels)) > 1 for b in batches)
 
 
-# -- featurizer --------------------------------------------------------------
-
-def test_featurize_hand_oracle():
-    cfg = FeaturizerConfig(dim=16, l2_normalize=False)
-    vec = featurize("Spam spam ham", cfg)
-    spam = zlib.crc32(b"spam") % 16
-    ham = zlib.crc32(b"ham") % 16
-    expected = np.zeros(16)
-    expected[spam] += 2.0
-    expected[ham] += 1.0
-    np.testing.assert_array_equal(vec, expected)
-
+# -- hashed-text loader --------------------------------------------------------
 
 def _featurize_loop(text, config):
-    """Reference: the per-token loop that ``featurize`` replaced."""
+    """Reference: the featurizer's definition as a dense per-token loop."""
     tokens = re.findall(r"[\w']+", text.lower())[: config.truncate]
     vec = np.zeros(config.dim)
     for tok in tokens:
@@ -140,65 +129,179 @@ def _featurize_loop(text, config):
     return vec
 
 
-def test_featurize_matches_per_token_loop():
-    rng = np.random.default_rng(4)
-    words = ["alpha", "Beta", "gamma's", "delta", "ünï", "x1", "THE", "the"]
-    texts = [""] + [" ".join(rng.choice(words, size=rng.integers(1, 40)))
-                    for _ in range(50)]
-    for config in (FeaturizerConfig(dim=2048), FeaturizerConfig(dim=7, truncate=5),
-                   FeaturizerConfig(dim=16, l2_normalize=False)):
-        rows = np.empty((len(texts), config.dim))
-        for row, text in zip(rows, texts):
-            want = _featurize_loop(text, config)
-            np.testing.assert_array_equal(featurize(text, config), want)
-            assert featurize(text, config, row) is row
-            np.testing.assert_array_equal(row, want)
+def _write(path, texts, labels=None):
+    labels = [0] * len(texts) if labels is None else labels
+    path.write_text("".join(f"{y}\t{t}\n" for y, t in zip(labels, texts)), encoding="utf-8")
+    return path
 
 
-def test_featurize_normalization_and_truncation():
+def _loaded(tmp_path, texts, config):
+    """The dense rows ``load_text_tasks`` reads from one file of ``texts``."""
+    return np.asarray(one_split(load_text_tasks([_write(tmp_path / "t.tsv", texts)],
+                                                config)).features)
+
+
+def test_featurize_hand_oracle(tmp_path):
+    cfg = FeaturizerConfig(dim=16, l2_normalize=False)
+    vec = _loaded(tmp_path, ["Spam spam ham"], cfg)[0]
+    spam = zlib.crc32(b"spam") % 16
+    ham = zlib.crc32(b"ham") % 16
+    expected = np.zeros(16)
+    expected[spam] += 2.0
+    expected[ham] += 1.0
+    np.testing.assert_array_equal(vec, expected)
+
+
+_WORDS = ["alpha", "Beta", "gamma's", "delta", "ünï", "x1", "THE", "the", "日本"]
+
+
+def _texts(rng, count):
+    """Empty documents, repeated tokens and unicode among random ones."""
+    return ["", "...", "the " * 300 + "ünï ÜNÏ"] + [
+        " ".join(rng.choice(_WORDS, size=rng.integers(1, 40))) for _ in range(count)]
+
+
+_CONFIGS = (FeaturizerConfig(dim=2048), FeaturizerConfig(dim=7, truncate=5),
+            FeaturizerConfig(dim=16, l2_normalize=False), FeaturizerConfig(dim=9, truncate=0))
+
+
+def test_featurize_matches_per_token_loop(tmp_path):
+    texts = _texts(np.random.default_rng(4), 50)
+    for config in _CONFIGS:
+        want = np.array([_featurize_loop(text, config) for text in texts])
+        got = _loaded(tmp_path, texts, config)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_text_read_paths_match_per_token_loop(tmp_path):
+    """Every way a split's rows are read gives the oracle's dense rows. Each
+    label is the row's split index, so a batch without rows still names them."""
+    from metareplay.memory import EpisodicMemory
+
+    rng = np.random.default_rng(5)
+    texts = _texts(rng, 37)
+    sizes = [9, 1, 30]
+    paths, start = [], 0
+    for i, size in enumerate(sizes):
+        paths.append(_write(tmp_path / f"t{i}.tsv", texts[start:start + size],
+                            range(start, start + size)))
+        start += size
+    n = len(texts)
+    for config in _CONFIGS:
+        want = np.array([_featurize_loop(text, config) for text in texts])
+        tasks = load_text_tasks(paths, config)
+        split = one_split(tasks)
+        np.testing.assert_array_equal(split.labels, np.arange(n))
+        for task in tasks:
+            rows = want[task.offset:task.offset + task.size]
+            idx = np.array([0, task.size - 1, -1, -task.size, 0])
+            batch = task.take(idx)
+            np.testing.assert_array_equal(batch.features, rows[idx])
+            np.testing.assert_array_equal(batch.features, want[batch.rows])
+            full = task.full_batch()
+            np.testing.assert_array_equal(full.features, rows)
+            with pytest.raises(ValueError):
+                full.features[0, 0] = 1.0
+        np.testing.assert_array_equal(split.full_batch().features, want)
+
+        memory = EpisodicMemory(1.0, tasks, np.random.default_rng(0), np.random.default_rng(1))
+        for batch in BatchStream(tasks, StreamConfig((2, 0, 1), 4), np.random.default_rng(2)):
+            memory.write(batch)
+        for k in (5, n, n + 3):
+            sample = memory.sample(k)
+            np.testing.assert_array_equal(sample.features, want[sample.labels])
+        for batch in pooled_batches(tasks, 16, np.random.default_rng(3), epochs=2):
+            np.testing.assert_array_equal(batch.features, want[batch.labels])
+
+        features = split.features
+        for lo, hi in ((0, n), (2, 5), (-3, None), (4, 4), (7, 2), (n - 1, n + 9)):
+            part = features[lo:hi]
+            assert isinstance(part, HashedRows) and part.shape == want[lo:hi].shape
+            np.testing.assert_array_equal(np.asarray(part), want[lo:hi])
+        np.testing.assert_array_equal(np.asarray(features[3:][2:6]), want[3:][2:6])
+        with pytest.raises(IndexError):
+            features[::2]
+        rows = np.array([-1, -n, n - 1, 0, 0])
+        np.testing.assert_array_equal(features[rows], want[rows])
+        np.testing.assert_array_equal(features.take(rows, axis=0), want.take(rows, axis=0))
+        assert features[np.array([], dtype=np.int64)].shape == (0, config.dim)
+        for bad in ([n], [-n - 1], [0, n + 5]):
+            with pytest.raises(IndexError):
+                want[np.array(bad)]
+            with pytest.raises(IndexError):
+                features[np.array(bad)]
+            with pytest.raises(IndexError):
+                features.take(np.array(bad), axis=0)
+            with pytest.raises(IndexError):
+                tasks[1].take(np.array(bad))
+
+
+def test_hashed_rows_bytes_do_not_grow_with_dim(tmp_path):
+    texts = [f"w{i} w{i + 1} w{i + 2}" for i in range(40)]
+    nbytes = []
+    for dim in (2**12, 2**16, 2**20, 2**32):
+        path = _write(tmp_path / "t.tsv", texts)
+        features = one_split(load_text_tasks([path], FeaturizerConfig(dim=dim))).features
+        assert features.shape == (40, dim)
+        nbytes.append(features.indptr.nbytes + features.cols.nbytes + features.vals.nbytes)
+    # One int64 row pointer per row plus an int64 bucket and a float64 value
+    # per distinct (row, bucket): 41 * 8 + 120 * 16 bytes at every width.
+    assert nbytes == [41 * 8 + 120 * 16] * 4
+
+
+def test_featurize_normalization_and_truncation(tmp_path):
     cfg = FeaturizerConfig(dim=32, truncate=2, l2_normalize=True)
-    vec = featurize("one two three four", cfg)
+    vec = _loaded(tmp_path, ["one two three four"], cfg)[0]
     assert np.linalg.norm(vec) == pytest.approx(1.0)
     assert vec.sum() > 0
-    untr = featurize("one two three four", FeaturizerConfig(dim=32, l2_normalize=False))
+    untr = _loaded(tmp_path, ["one two three four"], FeaturizerConfig(dim=32, l2_normalize=False))
     assert untr.sum() == 4.0
 
 
-def test_featurize_bucket_counts_look_uniform():
+def test_featurize_bucket_counts_look_uniform(tmp_path):
     # Many random tokens should spread evenly across buckets (chi-square).
     dim = 64
     cfg = FeaturizerConfig(dim=dim, l2_normalize=False)
     rng = np.random.default_rng(0)
-    counts = np.zeros(dim)
-    for _ in range(4000):
-        tok = "".join(rng.choice(list("abcdefghijklmnop"), size=8))
-        counts += featurize(tok, cfg)
+    tokens = ["".join(rng.choice(list("abcdefghijklmnop"), size=8)) for _ in range(4000)]
+    counts = _loaded(tmp_path, tokens, cfg).sum(axis=0)
+    assert counts.sum() == 4000
     assert stats.chisquare(counts).pvalue > 1e-3
 
 
-def test_empty_text_featurizes_to_zero_vector():
-    vec = featurize("...", FeaturizerConfig(dim=8))
+def test_empty_text_featurizes_to_zero_vector(tmp_path):
+    vec = _loaded(tmp_path, ["..."], FeaturizerConfig(dim=8))[0]
     np.testing.assert_array_equal(vec, np.zeros(8))
 
 
 def test_load_text_task(tmp_path):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     a.write_text("0\thello world\n1\tgoodbye moon\n", encoding="utf-8")
-    b.write_text("\n2\tsee you\n", encoding="utf-8")
+    b.write_text(f"\n{2**63 - 1}\tsee you\n", encoding="utf-8")
     config = FeaturizerConfig(dim=64)
     tasks = load_text_tasks([a, b], config)
     assert [(t.task_id, t.offset, t.size) for t in tasks] == [(0, 0, 2), (1, 2, 1)]
     split = one_split(tasks)
-    np.testing.assert_array_equal(split.labels, [0, 1, 2])
+    assert split.labels.dtype == np.int64
+    np.testing.assert_array_equal(split.labels, [0, 1, 2**63 - 1])
     np.testing.assert_array_equal(
-        split.features, [featurize(t, config) for t in ("hello world", "goodbye moon", "see you")])
-    assert np.shares_memory(tasks[1].features, split.features)
+        np.asarray(split.features),
+        [_featurize_loop(t, config) for t in ("hello world", "goodbye moon", "see you")])
+    # A task's features are a view of the split's store.
+    assert tasks[1].features.cols is split.features.cols
+    assert np.shares_memory(tasks[1].features.indptr, split.features.indptr)
 
-    for text in ("no tab here\n", "-1\tnegative label\n", "\n"):
+    for text, where in (("no tab here\n", 1), ("-1\tnegative label\n", 1), ("\n", None),
+                        (f"0\tok\n{2**63}\ttoo large\n", 2),
+                        ("0\tok\n100000000000000000000\tfar too large\n", 2)):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text, encoding="utf-8")
-        with pytest.raises(InputError, match="bad.tsv"):
+        with pytest.raises(InputError, match="bad.tsv" + (f":{where}:" if where else "")):
             load_text_tasks([a, bad], config)
+    for dim in (1, 2**32 + 1):
+        with pytest.raises(InputError, match="dim"):
+            FeaturizerConfig(dim=dim)
 
 
 def test_split_tasks_are_views_of_one_split():
