@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import save_checkpoint
 from .config import build_model, build_suite, load_config
-from .diagnostics import MetricsRecord, gate_stats, macro_accuracy
+from .diagnostics import gate_stats, macro_accuracy
 from .episodes import ReplaySchedule
 from .learners import run as run_learner
 from .model import Classifier, ModelConfig
@@ -28,18 +28,16 @@ from .numerics import InputError, LossMode, NumericalError, grad_check
 from .stream import Batch
 
 
-def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True) + "\n"
-
-
 def emit_metrics(records, path: Path) -> None:
-    """Write line-delimited metric records with stable field names."""
+    """Write records as JSON lines with sorted keys."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(_json_line(rec))
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:
+    if seed_override is not None and seed_override < 0:
+        raise InputError("--seed must be non-negative")
     cfg = load_config(config_path)
     # Every input is read and checked before anything is written.
     suite = build_suite(cfg)
@@ -62,28 +60,30 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
                     stream_order=order, combined_test=cfg.combined_test)
             elapsed = time.perf_counter() - t0
 
-            record = MetricsRecord(
-                method=cfg.method,
-                seed=seed,
-                per_task_accuracy=[float(a) for a in accs],
-                macro_accuracy=macro_accuracy(accs),
-                memory_size=len(memory) if memory is not None else 0,
-                memory_offers=memory.offers if memory is not None else 0,
-                replay_episodes=trace.replay_episodes,
-                replay_skips=trace.replay_skips,
-                violations_per_task={str(k): v for k, v in trace.violations_per_task.items()},
-                flags={
+            # One evaluation event; macro accuracy is the unweighted task mean.
+            record = {
+                "method": cfg.learner.method,
+                "seed": seed,
+                "per_task_accuracy": [float(a) for a in accs],
+                "macro_accuracy": macro_accuracy(accs),
+                "memory_size": len(memory) if memory is not None else 0,
+                "memory_offers": memory.offers if memory is not None else 0,
+                "replay_episodes": trace.replay_episodes,
+                "replay_skips": trace.replay_skips,
+                "violations_per_task": {str(k): v
+                                        for k, v in trace.violations_per_task.items()},
+                "flags": {
                     "no_replay": cfg.learner.no_replay,
                     "no_meta_test_finetune": cfg.learner.no_meta_test_finetune,
                     "order": list(order),
                 },
-            )
-            if gates:
-                record.gate_mean, record.gate_frac_high, record.gate_frac_low = gate_stats(gates)
+            }
+            record.update(zip(("gate_mean", "gate_frac_high", "gate_frac_low"),
+                              gate_stats(gates) if gates else (None, None, None)))
 
             run_dir = out / f"order{oi}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            emit_metrics([record.to_dict()], run_dir / "metrics.jsonl")
+            emit_metrics([record], run_dir / "metrics.jsonl")
             # Wall-clock goes in a sidecar so metrics files stay byte-reproducible.
             timings.append({"order": oi, "seed": seed, "seconds": elapsed})
             if debug_traces:
@@ -94,11 +94,11 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
                     memory.dump(run_dir / "memory.tsv")
             if cfg.save_checkpoints:
                 save_checkpoint(run_dir / "checkpoint.npz", params, model.config)
-            order_macros.append(record.macro_accuracy)
+            order_macros.append(record["macro_accuracy"])
         per_seed_macro.append(macro_accuracy(order_macros))
 
     summary = {
-        "method": cfg.method,
+        "method": cfg.learner.method,
         "seeds": seeds,
         "orders": cfg.orders,
         "macro_accuracy_mean": float(np.mean(per_seed_macro)),
@@ -106,9 +106,7 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
         "per_seed_macro_accuracy": [float(a) for a in per_seed_macro],
     }
     emit_metrics([summary], out / "summary.jsonl")
-    with open(out / "timing.jsonl", "w", encoding="utf-8") as fh:
-        for t in timings:
-            fh.write(json.dumps(t, sort_keys=True) + "\n")
+    emit_metrics(timings, out / "timing.jsonl")
     return 0
 
 
@@ -132,6 +130,8 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     Covers linear, ReLU, sigmoid gating, softmax-CE and sigmoid-BCE paths via
     small randomized OML and ANML models in both loss modes.
     """
+    if trials < 1:
+        raise InputError("grad-check needs at least one trial")
     file = file or sys.stdout
     rng = np.random.default_rng(seed)
     configs = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .episodes import ReplaySchedule
-from .learners import METHODS, LearnerConfig
+from .learners import LearnerConfig
 from .model import Classifier, ModelConfig
 from .numerics import InputError
 from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_suite
@@ -150,7 +150,6 @@ def _has_required(schema: dict) -> bool:
 class RunConfig:
     """Validated experiment configuration."""
 
-    method: str
     model: ModelConfig
     learner: LearnerConfig
     orders: list
@@ -166,9 +165,6 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
     cfg = _apply_schema(raw, _SCHEMA)
-    method = cfg["method"]
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r} (choose from {METHODS})")
 
     has_suite = "suite" in raw
     has_dataset = "dataset" in raw
@@ -184,17 +180,14 @@ def parse_config(raw: dict) -> RunConfig:
         raise InputError("seeds must be a non-empty list of non-negative integers")
     if has_suite and suite_spec["test_per_class"] < 1:
         raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
+    if has_suite and suite_spec["examples_per_class"] < 1:
+        raise InputError("suite.examples_per_class must be >= 1")
 
     learner = LearnerConfig(
-        method=method,
+        method=cfg["method"],
         schedule=ReplaySchedule(**cfg["schedule"]),
-        inner_lr=cfg["learning"]["inner_lr"],
-        outer_lr=cfg["learning"]["outer_lr"],
-        p_write=cfg["memory"]["p_write"],
-        no_replay=cfg["ablations"]["no_replay"],
-        no_meta_test_finetune=cfg["ablations"]["no_meta_test_finetune"],
-        epochs=cfg["learning"]["epochs"],
         record_alignment=cfg["record_alignment"],
+        **cfg["learning"], **cfg["memory"], **cfg["ablations"],
     )
 
     if suite_spec is not None:
@@ -206,7 +199,7 @@ def parse_config(raw: dict) -> RunConfig:
         num_classes = 2  # replaced by the loaded label count in build_model
         num_tasks = len(dataset_spec["train_files"])
 
-    arch = cfg["model"]["architecture"] or _ARCH_FOR_METHOD[method]
+    arch = cfg["model"]["architecture"] or _ARCH_FOR_METHOD[learner.method]
     model = ModelConfig(
         input_dim=input_dim,
         encoder_dims=tuple(cfg["model"]["encoder_dims"]),
@@ -221,7 +214,6 @@ def parse_config(raw: dict) -> RunConfig:
             raise InputError(f"order {order} is not a permutation of {num_tasks} tasks")
 
     return RunConfig(
-        method=method,
         model=model,
         learner=learner,
         orders=[list(o) for o in orders],
@@ -255,15 +247,17 @@ def load_config(path) -> RunConfig:
 def build_suite(run_config: RunConfig) -> Suite:
     """Materialize the task suite (synthetic or from dataset files)."""
     if run_config.suite_spec is not None:
-        try:  # a suite whose own numbers overflow is bad input, not a failed run
+        # A suite whose own numbers overflow or whose arrays cannot be
+        # allocated is bad input, not a failed run.
+        try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return make_synthetic_suite(**run_config.suite_spec)
-        except FloatingPointError as exc:
+        except (FloatingPointError, MemoryError, ValueError) as exc:
             raise InputError(f"suite: {exc} while building the synthetic suite") from exc
     d = run_config.dataset_spec
     feat = FeaturizerConfig(**d["featurizer"])
     suite = Suite(load_text_tasks(d["train_files"], feat),
-                  load_text_tasks(d["test_files"], feat), meta={"dataset": d})
+                  load_text_tasks(d["test_files"], feat))
     for path, task in zip(d["test_files"], suite.test):
         top = int(task.labels.max())
         if top >= suite.num_classes:

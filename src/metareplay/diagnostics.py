@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,24 +52,3 @@ def gate_stats(gate_records) -> tuple:
         float((values < 0.01).mean()),
     )
 
-
-@dataclass
-class MetricsRecord:
-    """One evaluation event. Macro accuracy is the unweighted task mean."""
-
-    method: str
-    seed: int
-    per_task_accuracy: list
-    macro_accuracy: float
-    memory_size: int = 0
-    memory_offers: int = 0
-    replay_episodes: int = 0
-    replay_skips: int = 0
-    violations_per_task: dict = field(default_factory=dict)
-    gate_mean: float | None = None
-    gate_frac_high: float | None = None
-    gate_frac_low: float | None = None
-    flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)

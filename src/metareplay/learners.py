@@ -20,7 +20,7 @@ from .memory import EpisodicMemory
 from .model import Classifier, score_accuracy
 from .numerics import InputError, adam_step, sgd_step
 from .rngs import named_rngs
-from .stream import BatchStream, StreamConfig, one_split, pooled_batches
+from .stream import BatchStream, one_split, pooled_batches
 
 META_METHODS = ("OML_ER", "ANML_ER", "MAML_ER")
 BASELINE_METHODS = ("SEQ", "REPLAY", "AGEM", "MTL")
@@ -41,7 +41,7 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}")
+            raise InputError(f"unknown method {self.method!r} (choose from {METHODS})")
         if self.method == "MTL" and self.epochs < 1:
             raise InputError("MTL needs epochs >= 1")
         if self.method != "MTL" and self.epochs != 1:
@@ -97,6 +97,17 @@ def meta_outer_step(model, params, adapted, query, beta: float) -> float:
     return loss
 
 
+def _single_pass_setup(model, tasks, config: LearnerConfig, seed: int, stream_order):
+    """Initial parameters, stream, memory and trace of a single-pass continual run."""
+    rngs = named_rngs(seed)
+    params = model.init_params(rngs["init"])
+    order = range(len(tasks)) if stream_order is None else stream_order
+    stream = BatchStream(tasks, order, config.schedule.batch_size, rngs["stream"])
+    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
+                            rngs["memory_sample"])
+    return params, stream, memory, TrainingTrace()
+
+
 def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
                       stream_order=None):
     """Single-pass episodic meta-training over the task stream.
@@ -105,15 +116,9 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
     the query from memory, otherwise take the next stream batch and offer it
     to memory; offer the support to memory; adapt; meta-update.
     """
-    rngs = named_rngs(seed)
-    params = model.init_params(rngs["init"])
+    params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
+                                                       stream_order)
     schedule = config.schedule
-    order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
-    stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
-                            rngs["memory_sample"])
-    trace = TrainingTrace()
-
     it = iter(stream)
     index = 0
     while True:
@@ -210,14 +215,9 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
     every ceil(R_I/b) steps. A-GEM instead uses such a sample as a reference
     gradient and projects the current gradient when they conflict.
     """
-    rngs = named_rngs(seed)
-    params = model.init_params(rngs["init"])
+    params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
+                                                       stream_order)
     schedule = config.schedule
-    order = tuple(stream_order) if stream_order is not None else tuple(range(len(tasks)))
-    stream = BatchStream(tasks, StreamConfig(order, schedule.batch_size), rngs["stream"])
-    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
-                            rngs["memory_sample"])
-    trace = TrainingTrace()
     parts = model.outer_partitions()
     replay = config.method == "REPLAY" and not config.no_replay
     agem = config.method == "AGEM" and not config.no_replay
@@ -280,16 +280,14 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
     Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
+    if config.method in META_METHODS:
+        params, memory, trace = run_meta_training(model, suite.train, config, seed,
+                                                  stream_order)
+        accs, gates = run_meta_testing(model, params, memory, test, config)
+        return accs, params, memory, trace, gates
     if config.method == "MTL":
         params, memory, trace = train_mtl(model, suite.train, config, seed)
-        accs = evaluate_direct(model, params, test)
-        return accs, params, memory, trace, []
-    if config.method in BASELINE_METHODS:
+    else:
         params, memory, trace = train_sequential(model, suite.train, config, seed,
                                                  stream_order)
-        accs = evaluate_direct(model, params, test)
-        return accs, params, memory, trace, []
-    params, memory, trace = run_meta_training(model, suite.train, config, seed,
-                                              stream_order)
-    accs, gates = run_meta_testing(model, params, memory, test, config)
-    return accs, params, memory, trace, gates
+    return evaluate_direct(model, params, test), params, memory, trace, []

@@ -116,12 +116,6 @@ def one_split(tasks) -> TaskSpec:
 
 
 @dataclass(frozen=True)
-class StreamConfig:
-    order: tuple          # permutation of positions into the task list
-    batch_size: int
-
-
-@dataclass(frozen=True)
 class FeaturizerConfig:
     dim: int = 2048
     truncate: int | None = None  # max tokens kept per text
@@ -130,6 +124,8 @@ class FeaturizerConfig:
     def __post_init__(self):
         if not 2 <= self.dim <= 2**32:  # crc32 reaches no bucket past 2**32
             raise InputError("featurizer dim must be in [2, 2**32]")
+        if self.truncate is not None and self.truncate < 0:
+            raise InputError("featurizer truncate must be >= 0")
 
 
 _TOKEN_RE = re.compile(r"[\w']+")
@@ -220,26 +216,26 @@ def _hashed_rows(lengths, buckets, config: FeaturizerConfig) -> HashedRows:
 
 
 class BatchStream:
-    """Single-pass batch iterator over an ordered sequence of tasks.
+    """Batch iterator over an ordered sequence of tasks, one pass per iteration.
 
-    The tasks must cover one split. Iterating yields plain ``Batch`` objects
-    taken from the split, so their ``rows`` are split rows. Each example is
-    emitted exactly once.
+    The tasks, taken in ``order`` (a permutation of their positions), must
+    cover one split. Iterating yields plain ``Batch`` objects taken from the
+    split, so their ``rows`` are split rows; each example once per iteration.
     """
 
-    def __init__(self, tasks, config: StreamConfig, rng: np.random.Generator):
+    def __init__(self, tasks, order, batch_size: int, rng: np.random.Generator):
         self.split = one_split(tasks)
-        if sorted(config.order) != list(range(len(tasks))):
+        if sorted(order) != list(range(len(tasks))):
             raise InputError("order must be a permutation of task positions")
         for t in tasks:
             if t.size == 0:
                 raise InputError(f"task {t.task_id} is empty")
-        self.tasks = [tasks[i] for i in config.order]
-        self.config = config
+        self.tasks = [tasks[i] for i in order]
+        self.batch_size = batch_size
         self._rng = rng
 
     def __iter__(self):
-        b = self.config.batch_size
+        b = self.batch_size
         take = self.split.take
         for task in self.tasks:
             rows = self._rng.permutation(task.size) + task.offset
@@ -250,14 +246,10 @@ class BatchStream:
 def pooled_batches(tasks, batch_size: int, rng: np.random.Generator, epochs: int = 1):
     """I.i.d. batches from the pool of all tasks, reshuffled every epoch (MTL).
 
-    The tasks must cover one split; batches are indexed from its arrays."""
-    split = one_split(tasks)
-    n = split.size
+    The tasks must cover one split; each epoch streams it as a single task."""
+    stream = BatchStream([one_split(tasks)], (0,), batch_size, rng)
     for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start : start + batch_size]
-            yield Batch(split.features[idx], split.labels[idx])
+        yield from stream
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +258,10 @@ def pooled_batches(tasks, batch_size: int, rng: np.random.Generator, epochs: int
 
 @dataclass
 class Suite:
-    """Train and test TaskSpecs plus the generator settings that made them."""
+    """Train and test TaskSpecs."""
 
     train: list
     test: list
-    meta: dict = field(default_factory=dict)
 
     @property
     def num_classes(self) -> int:
@@ -348,19 +339,7 @@ def make_synthetic_suite(
             test_f[t * nt:(t + 1) * nt] = means[tlabels] + rng.standard_normal((nt, input_dim))
     train = split_tasks(range(num_tasks), train_f, train_l, task_sizes)
     test = split_tasks(range(num_tasks), test_f, test_l, [nt] * num_tasks) if nt > 0 else []
-
-    meta = dict(
-        kind=kind,
-        num_tasks=num_tasks,
-        classes_per_task=classes_per_task,
-        examples_per_class=examples_per_class,
-        input_dim=input_dim,
-        seed=seed,
-        test_per_class=test_per_class,
-        separation=separation,
-        task_sizes=task_sizes,
-    )
-    return Suite(train, test, meta)
+    return Suite(train, test)
 
 
 def load_text_tasks(paths, config: FeaturizerConfig) -> list:

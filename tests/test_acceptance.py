@@ -260,7 +260,7 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_memory_protocol_fidelity():
     from metareplay.learners import run_meta_training
     from metareplay.rngs import named_rngs
-    from metareplay.stream import BatchStream, StreamConfig
+    from metareplay.stream import BatchStream
 
     suite = _suite("BALANCED")
     clf = Classifier(ModelConfig(input_dim=DIM, encoder_dims=ENCODER, num_classes=10))
@@ -270,7 +270,7 @@ def test_criterion_10_memory_protocol_fidelity():
     # Independent counter: replay the stream's batch sizes and walk the
     # episode protocol without touching the learner's bookkeeping.
     sizes = [len(b) for b in BatchStream(
-        suite.train, StreamConfig(tuple(range(5)), SCHEDULE.batch_size),
+        suite.train, tuple(range(5)), SCHEDULE.batch_size,
         named_rngs(0)["stream"])]
     expected_offers = 0
     pos, index, written, mem_queries = 0, 0, 0, 0

@@ -30,7 +30,7 @@ def _minimal(method="SEQ", **over):
 
 def test_parse_minimal_config_fills_defaults():
     rc = parse_config(_minimal())
-    assert rc.method == "SEQ"
+    assert rc.learner.method == "SEQ"
     assert rc.model.encoder_dims == (32,)
     assert rc.learner.schedule.batch_size == 8
     assert rc.orders == [[0, 1, 2]]
@@ -299,6 +299,58 @@ def test_cli_overflowing_suite_separation_exits_2(tmp_path, capsys):
     assert "separation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("examples_per_class", [0, -3, 10**12])
+def test_cli_bad_examples_per_class_exits_2(tmp_path, capsys, examples_per_class):
+    # 10**12 asks for a 218 TiB train split, past the 128 TiB a process can
+    # address, so the allocation fails at once whatever the kernel's overcommit.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal()).replace(
+        '"examples_per_class": 40', f'"examples_per_class": {examples_per_class}'))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "suite" in capsys.readouterr().err
+
+
+def test_cli_negative_featurizer_truncate_exits_2(tmp_path, capsys):
+    config = _dataset_config(tmp_path, "0\tw x y z\n1\tw x y z\n")
+    config["dataset"]["featurizer"]["truncate"] = -3
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "truncate" in capsys.readouterr().err
+
+
+def test_cli_negative_seed_argument_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal()))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 2
+    assert not out.exists()
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_grad_check_without_trials_exits_2(capsys, trials):
+    assert main(["grad-check", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert "at least one trial" in captured.err and captured.out == ""
+
+
+_CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
+
+
+@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL"])
+def test_cli_output_bytes_match_committed_files(tmp_path, method):
+    """metrics.jsonl and summary.jsonl, byte for byte: ANML_ER fills the gate
+    fields, AGEM the violations, and MTL runs without a memory."""
+    expected = _CLI_OUTPUTS / method
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(expected / "config.json"), "--out", str(out)]) == 0
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*.jsonl"))
+    assert len(files) == 5  # 2 orders x 2 seeds, and the summary
+    for name in files:
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 def test_overflow_while_building_a_suite_is_an_input_error(monkeypatch):
     from metareplay import config as config_module
 
@@ -422,6 +474,13 @@ def _has_huge_separation(cfg) -> bool:
             and abs(value) > 1.35e154)
 
 
+def _has_bad_suite_size(cfg) -> bool:
+    """A non-positive suite examples_per_class."""
+    suite = cfg.get("suite")
+    value = suite.get("examples_per_class") if isinstance(suite, dict) else None
+    return isinstance(value, int) and not isinstance(value, bool) and value < 1
+
+
 def _has_bad_rate(cfg) -> bool:
     for section, key in _RATES:
         value = cfg.get(section)
@@ -446,6 +505,10 @@ def _has_bad_rate(cfg) -> bool:
 @example("AGEM", [("set", ("seeds",), [0])], False, "unseen test label")
 @example("REPLAY", [("set", ("seeds",), [0])], False, "negative label")
 @example("SEQ", [("set", ("suite", "separation"), 1e308)], False, None)
+@example("OML_ER", [("set", ("suite", "examples_per_class"), 0)], False, None)
+@example("MTL", [("set", ("suite", "examples_per_class"), -3)], False, None)
+@example("SEQ", [("set", ("suite", "examples_per_class"), 10**12),  # 2.8 PiB: fails at once
+                 ("set", ("suite", "input_dim"), 100)], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
@@ -457,7 +520,7 @@ def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_data
             cfg.pop("suite", None)
             cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
         invalid = (wrap or bad_dataset is not None or _has_bad_rate(cfg)
-                   or _has_huge_separation(cfg))
+                   or _has_huge_separation(cfg) or _has_bad_suite_size(cfg))
         if wrap:  # a config that is not a JSON object
             cfg = [cfg]
         path = Path(tmp) / "config.json"

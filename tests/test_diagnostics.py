@@ -1,11 +1,10 @@
-"""Alignment measurements and metric records."""
+"""Alignment measurements and accuracy and gate summaries."""
 
 import numpy as np
 import pytest
 
 from metareplay.diagnostics import (
     AlignmentSample,
-    MetricsRecord,
     gate_stats,
     grad_dot,
     macro_accuracy,
@@ -70,10 +69,3 @@ def test_gate_stats_pools_all_records():
     assert high == pytest.approx(0.25)
     assert low == pytest.approx(0.25)
 
-
-def test_metrics_record_round_trips_to_dict():
-    rec = MetricsRecord(method="SEQ", seed=1, per_task_accuracy=[0.5, 0.7],
-                        macro_accuracy=0.6, memory_size=10)
-    d = rec.to_dict()
-    assert d["method"] == "SEQ" and d["per_task_accuracy"] == [0.5, 0.7]
-    assert d["gate_mean"] is None

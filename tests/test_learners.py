@@ -17,7 +17,7 @@ from metareplay.learners import (
 )
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
-from metareplay.stream import BatchStream, StreamConfig, Suite, TaskSpec, split_tasks
+from metareplay.stream import BatchStream, Suite, TaskSpec, split_tasks
 
 RNG = np.random.default_rng(23)
 
@@ -315,7 +315,7 @@ def test_candidate_suite_runs_every_method(method, combined):
 def test_candidate_tasks_with_different_k_are_rejected(small_schedule):
     suite = _candidate_suite(ks=(3, 4, 3))
     with pytest.raises(InputError, match="candidate count"):
-        BatchStream(suite.train, StreamConfig((0, 1, 2), 4), np.random.default_rng(0))
+        BatchStream(suite.train, (0, 1, 2), 4, np.random.default_rng(0))
     model = Classifier(ModelConfig(input_dim=4, loss_mode=LossMode.CANDIDATE_BCE))
     with pytest.raises(InputError, match="candidate count"):
         run(model, suite, LearnerConfig("SEQ", small_schedule), seed=0)

@@ -11,7 +11,6 @@ from metareplay.numerics import InputError
 from metareplay.stream import (
     BatchStream,
     FeaturizerConfig,
-    StreamConfig,
     HashedRows,
     TaskSpec,
     load_text_tasks,
@@ -33,13 +32,13 @@ def _tasks(sizes, dim=3):
 
 def test_batch_count_matches_ceil_formula():
     tasks = _tasks([2000, 2000, 2000, 2000, 2000])
-    stream = BatchStream(tasks, StreamConfig(tuple(range(5)), 16), np.random.default_rng(0))
+    stream = BatchStream(tasks, tuple(range(5)), 16, np.random.default_rng(0))
     assert sum(1 for _ in stream) == 625
 
 
 def test_batches_never_span_task_boundaries():
     tasks = _tasks([20, 33, 7])
-    stream = BatchStream(tasks, StreamConfig((0, 1, 2), 8), np.random.default_rng(0))
+    stream = BatchStream(tasks, (0, 1, 2), 8, np.random.default_rng(0))
     for batch in stream:
         task = tasks[batch.labels[0]]  # labels double as task markers here
         assert np.all(batch.labels == task.task_id)
@@ -49,7 +48,7 @@ def test_batches_never_span_task_boundaries():
 
 def test_single_pass_emits_every_example_exactly_once():
     tasks = _tasks([25, 14])
-    stream = BatchStream(tasks, StreamConfig((1, 0), 4), np.random.default_rng(3))
+    stream = BatchStream(tasks, (1, 0), 4, np.random.default_rng(3))
     seen = np.vstack([b.features for b in stream])
     expected = np.vstack([t.features for t in tasks])
     # Same multiset of rows, regardless of shuffling.
@@ -61,7 +60,7 @@ def test_single_pass_emits_every_example_exactly_once():
 
 def test_order_controls_task_sequence():
     tasks = _tasks([8, 8])
-    stream = BatchStream(tasks, StreamConfig((1, 0), 8), np.random.default_rng(0))
+    stream = BatchStream(tasks, (1, 0), 8, np.random.default_rng(0))
     tids = [int(b.labels[0]) for b in stream]
     assert tids == [1, 0]
 
@@ -69,15 +68,15 @@ def test_order_controls_task_sequence():
 def test_invalid_order_and_empty_inputs_raise():
     tasks = _tasks([4, 4])
     with pytest.raises(InputError):
-        BatchStream(tasks, StreamConfig((0, 0), 2), np.random.default_rng(0))
+        BatchStream(tasks, (0, 0), 2, np.random.default_rng(0))
     with pytest.raises(InputError):
-        BatchStream([], StreamConfig((), 2), np.random.default_rng(0))
+        BatchStream([], (), 2, np.random.default_rng(0))
     with pytest.raises(InputError):
         BatchStream([TaskSpec(0, np.zeros((0, 2)), np.zeros(0, dtype=int))],
-                    StreamConfig((0,), 2), np.random.default_rng(0))
+                    (0,), 2, np.random.default_rng(0))
     with pytest.raises(InputError, match="one split"):  # two hand-built tasks
         BatchStream([TaskSpec(t, np.zeros((2, 2)), np.zeros(2, dtype=int)) for t in (0, 1)],
-                    StreamConfig((0, 1), 2), np.random.default_rng(0))
+                    (0, 1), 2, np.random.default_rng(0))
 
 
 def test_batch_carries_only_features_and_labels():
@@ -206,7 +205,7 @@ def test_text_read_paths_match_per_token_loop(tmp_path):
         np.testing.assert_array_equal(split.full_batch().features, want)
 
         memory = EpisodicMemory(1.0, tasks, np.random.default_rng(0), np.random.default_rng(1))
-        for batch in BatchStream(tasks, StreamConfig((2, 0, 1), 4), np.random.default_rng(2)):
+        for batch in BatchStream(tasks, (2, 0, 1), 4, np.random.default_rng(2)):
             memory.write(batch)
         for k in (5, n, n + 3):
             sample = memory.sample(k)
@@ -374,7 +373,7 @@ def test_unit_variance_clusters():
 def test_imbalanced_suite_budget_and_balanced_tests():
     suite = make_synthetic_suite("IMBALANCED", 5, 2, 1000, 10, seed=7,
                                  test_per_class=250)
-    sizes = sorted(suite.meta["task_sizes"], reverse=True)
+    sizes = sorted((t.size for t in suite.train), reverse=True)
     total = sum(sizes)
     assert total == 10000
     assert sizes[0] >= 0.5 * total
