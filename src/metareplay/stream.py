@@ -14,6 +14,7 @@ the tasks' offsets.
 
 from __future__ import annotations
 
+import itertools
 import re
 import zlib
 from dataclasses import InitVar, dataclass, field
@@ -129,6 +130,10 @@ class FeaturizerConfig:
 
 
 _TOKEN_RE = re.compile(r"[\w']+")
+# ASCII code point -> itself if _TOKEN_RE can match it, else a space. No
+# token character is whitespace, so on ASCII text
+# ``text.translate(_ASCII_SEPARATORS).split()`` gives _TOKEN_RE's tokens.
+_ASCII_SEPARATORS = "".join(c if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128)))
 
 
 class _Buckets(dict):
@@ -270,6 +275,22 @@ class Suite:
 
 # The largest separation whose square is a finite float64.
 _MAX_SEPARATION = float(np.sqrt(np.finfo(np.float64).max))
+# Pairwise differences per block of _closest_distance (8 MB), or one row's.
+_PAIR_BLOCK = 2**20
+
+
+def _closest_distance(points) -> np.float64:
+    """The smallest Euclidean distance between two rows of ``points``, with
+    the bits of one ``(n, n, d)`` broadcast's; a block of rows at a time is
+    compared with all rows, so the temporary stays bounded."""
+    rows = max(1, _PAIR_BLOCK // max(points.size, 1))
+
+    def block_min(lo):
+        dists = np.linalg.norm(points[lo:lo + rows, None] - points, axis=-1)
+        dists[np.arange(len(dists)), np.arange(lo, lo + len(dists))] = np.inf
+        return dists.min()
+
+    return min(map(block_min, range(0, len(points), rows)))
 
 
 def make_synthetic_suite(
@@ -303,9 +324,7 @@ def make_synthetic_suite(
     # Unit-variance clusters with the closest pair of class means exactly
     # `separation` apart, so task difficulty tracks the separation knob.
     means = rng.normal(0.0, 1.0, size=(num_classes, input_dim))
-    dists = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
-    np.fill_diagonal(dists, np.inf)
-    means *= separation / dists.min()
+    means *= separation / _closest_distance(means)
 
     total = num_tasks * classes_per_task * examples_per_class
     if kind == "BALANCED":
@@ -342,43 +361,56 @@ def make_synthetic_suite(
     return Suite(train, test)
 
 
+def _records(path):
+    """The (label, text) of each non-blank ``label<TAB>text`` line of a UTF-8 file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    label, text = line.split("\t", 1)
+                    label = int(label)
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
+                if label < 0:
+                    raise InputError(f"{path}:{lineno}: label {label} is negative")
+                if label >= 2**63:
+                    raise InputError(f"{path}:{lineno}: label {label} does not fit in int64")
+                yield label, text
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
+
+
 def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
     per file, with the file's position as its task id.
 
     Labels are non-negative int64 integers in the global label space. Each
-    text is tokenized (lowercased, split on non-word characters, cut to
-    ``truncate`` tokens) as it is read and each distinct token is hashed to
-    a bucket in [0, dim) once; the split's features are the ``HashedRows``
-    of the bucket counts, never a dense array.
+    text is tokenized (lowercased, split into runs of word characters and
+    apostrophes, cut to ``truncate`` tokens) as it is read and each distinct
+    token is hashed to a bucket in [0, dim) once; the split's features are
+    the ``HashedRows`` of the bucket counts, never a dense array.
     """
-    labels, sizes, lengths, buckets = [], [], [], []
-    bucket_of = _Buckets(config.dim).__getitem__
-    for path in paths:
-        start = len(labels)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    try:
-                        label, text = line.split("\t", 1)
-                        label = int(label)
-                    except ValueError as exc:
-                        raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
-                    if label < 0:
-                        raise InputError(f"{path}:{lineno}: label {label} is negative")
-                    if label >= 2**63:
-                        raise InputError(f"{path}:{lineno}: label {label} does not fit in int64")
-                    labels.append(label)
-                    tokens = _TOKEN_RE.findall(text.lower())[:config.truncate]
-                    lengths.append(len(tokens))
-                    buckets.extend(map(bucket_of, tokens))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
-        if len(labels) == start:
-            raise InputError(f"{path}: no records")
-        sizes.append(len(labels) - start)
+    labels, sizes, lengths = [], [], []
+
+    def documents():
+        """Each text's tokens, file by file, recording labels, lengths and sizes."""
+        for path in paths:
+            start = len(labels)
+            for label, text in _records(path):
+                labels.append(label)
+                text = text.lower()
+                tokens = (text.translate(_ASCII_SEPARATORS).split() if text.isascii()
+                          else _TOKEN_RE.findall(text))[:config.truncate]
+                lengths.append(len(tokens))
+                yield tokens
+            if len(labels) == start:
+                raise InputError(f"{path}: no records")
+            sizes.append(len(labels) - start)
+
+    tokens = itertools.chain.from_iterable(documents())
+    buckets = np.fromiter(map(_Buckets(config.dim).__getitem__, tokens), dtype=np.int64)
     return split_tasks(range(len(paths)), _hashed_rows(lengths, buckets, config),
                        np.array(labels, dtype=np.int64), sizes)

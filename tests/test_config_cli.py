@@ -338,11 +338,15 @@ def test_grad_check_without_trials_exits_2(capsys, trials):
 _CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
 
 
-@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL"])
-def test_cli_output_bytes_match_committed_files(tmp_path, method):
+@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL", "hashed_text"])
+def test_cli_output_bytes_match_committed_files(tmp_path, monkeypatch, method):
     """metrics.jsonl and summary.jsonl, byte for byte: ANML_ER fills the gate
-    fields, AGEM the violations, and MTL runs without a memory."""
+    fields, AGEM the violations, and MTL runs without a memory. hashed_text
+    runs OML_ER over the .tsv files beside its config (paths relative to it):
+    punctuation, blank lines and non-ASCII lines, hashed to 64 buckets with
+    truncation."""
     expected = _CLI_OUTPUTS / method
+    monkeypatch.chdir(expected)
     out = tmp_path / "out"
     assert main(["run", "--config", str(expected / "config.json"), "--out", str(out)]) == 0
     files = sorted(p.relative_to(expected) for p in expected.rglob("*.jsonl"))

@@ -1,18 +1,23 @@
 """Streams, the hashed-text loader, and synthetic suite generation."""
 
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from metareplay.numerics import InputError
 from metareplay.stream import (
+    _PAIR_BLOCK,
     BatchStream,
     FeaturizerConfig,
     HashedRows,
     TaskSpec,
+    _closest_distance,
     load_text_tasks,
     make_synthetic_suite,
     one_split,
@@ -171,6 +176,31 @@ def test_featurize_matches_per_token_loop(tmp_path):
         got = _loaded(tmp_path, texts, config)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
+
+
+# Any code point a dataset line can hold: no line ends, no surrogates.
+_ANY_CHAR = st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",))
+_EVERY_ASCII = "".join(c for c in map(chr, range(128)) if c not in "\n\r")
+_LINE_TEXT = st.one_of(st.text(st.characters(max_codepoint=127, blacklist_characters="\n\r")),
+                       st.text(_ANY_CHAR))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_LINE_TEXT, min_size=1, max_size=6))
+@example([_EVERY_ASCII, _EVERY_ASCII[::-1]])
+@example(["a\x00b", "a\x0bb", "a\x1cb \x1f"])
+@example(["a\tb\tc", "\t\t"])
+@example(["''' it's '''", "_x_ __"])
+@example(["x² 2²", "٣ ٣4"])
+@example(["\u212aelvin \u212a", "\u0130stanbul"])  # Kelvin sign -> ASCII k
+@example(["ΟΔΟΣ ΟΔΟΣΟ", "plain ascii"])  # a final sigma lowers by context
+def test_featurize_matches_per_token_loop_on_any_text(tmp_path, texts):
+    """ASCII lines go through a translate table, others through the regex:
+    both give the oracle's rows, whatever a line holds."""
+    for config in _CONFIGS:
+        want = np.array([_featurize_loop(text, config) for text in texts])
+        np.testing.assert_array_equal(_loaded(tmp_path, texts, config), want)
 
 
 def test_text_read_paths_match_per_token_loop(tmp_path):
@@ -360,6 +390,37 @@ def test_cluster_separation_matches_requested_minimum():
     np.fill_diagonal(d, np.inf)
     # Sample means of 1000 unit-variance points are within ~0.1 of the truth.
     assert d.min() == pytest.approx(sep, abs=0.3)
+
+
+def test_closest_distance_matches_one_broadcast(monkeypatch):
+    """Blocks of rows give the bits of the (n, n, d) broadcast's minimum."""
+    def broadcast(points):
+        dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        np.fill_diagonal(dists, np.inf)
+        return dists.min()
+
+    rng = np.random.default_rng(3)
+    cases = [(_PAIR_BLOCK, (10, 10)), (_PAIR_BLOCK, (40, 2048)), (_PAIR_BLOCK, (1000, 10)),
+             (1, (37, 5)), (70, (257, 9)), (999, (2, 1))]
+    for block, (n, d) in cases:
+        monkeypatch.setattr("metareplay.stream._PAIR_BLOCK", block)
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        assert _closest_distance(points).tobytes() == broadcast(points).tobytes()
+        points[n // 2] = points[0]
+        assert _closest_distance(points) == 0.0
+
+
+def test_synthetic_suite_memory_does_not_grow_with_class_pairs():
+    # 1,000 tasks x 2 classes: one (C, C, d) broadcast of the class-mean
+    # differences alone would take 320 MB at d=10.
+    tracemalloc.start()
+    try:
+        suite = make_synthetic_suite("BALANCED", 1000, 2, 1, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert suite.num_classes == 2000
+    assert peak < 32 * 2**20
 
 
 def test_unit_variance_clusters():
