@@ -13,6 +13,7 @@ import json
 import shutil
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,9 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
             run_dir = out / f"order{oi}_seed{seed}"
             run_dir.mkdir(parents=True, exist_ok=True)
             emit_metrics([record], run_dir / "metrics.jsonl")
+            if cfg.learner.record_alignment:
+                emit_metrics([{**asdict(s), "cosine": s.cosine} for s in trace.alignment],
+                             run_dir / "alignment.jsonl")
             # Wall-clock goes in a sidecar so metrics files stay byte-reproducible.
             timings.append({"order": oi, "seed": seed, "seconds": elapsed})
             if debug_traces:

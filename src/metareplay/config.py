@@ -270,14 +270,14 @@ def build_model(run_config: RunConfig, suite: Suite) -> Classifier:
     config = run_config.model
     if run_config.dataset_spec is not None:
         config = replace(config, num_classes=suite.num_classes)
-        # The data set the input width and the class count; reserve (never
-        # touch) the two weight matrices they size before anything is written.
-        size = (config.input_dim * config.encoder_dims[0]
-                + (config.encoder_dims[-1] + 1) * config.num_classes)
-        try:
-            np.empty(size)
-        except (MemoryError, ValueError) as exc:
-            raise InputError(f"a model over {config.input_dim} features and "
-                             f"{config.num_classes} classes (0 to the largest training "
-                             f"label) cannot be allocated") from exc
-    return Classifier(config)
+    model = Classifier(config)
+    # Reserve (never touch) the flat parameter vector before anything is
+    # written: a model too large to allocate is bad input, not a failed run.
+    size = sum(math.prod(shape) for shape, _ in model.param_shapes().values())
+    try:
+        np.empty(size)
+    except (MemoryError, ValueError) as exc:
+        raise InputError(f"a model of {size} parameters ({config.input_dim} features, "
+                         f"encoder widths {list(config.encoder_dims)}, "
+                         f"{config.num_classes} classes) cannot be allocated") from exc
+    return model

@@ -97,20 +97,20 @@ def next_episode(stream_iter, memory, schedule: ReplaySchedule, index: int,
     return Episode(index, support, query, STREAM, replay_skipped=replay_due)
 
 
-def meta_test_episode(memory, test_batch, support_size: int, batch_size: int,
-                      finetune: bool = True) -> Episode:
-    """Meta-test episode: m batches of memory samples, query = full test set.
+def meta_test_episode(memory, support_size: int, batch_size: int,
+                      finetune: bool = True) -> list:
+    """The support of a meta-test episode: m batches of memory samples. Its
+    query, a whole test task, is the caller's.
 
     With fine-tuning disabled the support is empty and evaluation happens at
     the trained parameters directly.
     """
     if not finetune:
-        return Episode(0, [], test_batch, STREAM)
+        return []
     if len(memory) == 0:
         raise InputError("meta-test fine-tuning needs a non-empty memory")
     drawn = memory.sample(support_size * batch_size)
     n = len(drawn)
     per = max(1, math.ceil(n / support_size))
-    support = [Batch(drawn.features[s : s + per], drawn.labels[s : s + per])
-               for s in range(0, n, per)]
-    return Episode(0, support, test_batch, STREAM)
+    return [Batch(drawn.features[s : s + per], drawn.labels[s : s + per])
+            for s in range(0, n, per)]

@@ -164,23 +164,22 @@ def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig):
 
     Each task gets its own memory draw and a fresh copy of the trained
     parameters; the trained parameters are never mutated. The ablation flag
-    skips fine-tuning entirely.
+    skips fine-tuning entirely. A task's features are densified only after
+    fine-tuning, once its support is freed.
     """
     schedule = config.schedule
     finetune = not config.no_meta_test_finetune
     gate_records = []
 
-    def evaluate(query_task):
-        ep = meta_test_episode(memory, query_task.full_batch(),
-                               schedule.support_size, schedule.batch_size,
-                               finetune=finetune)
-        eval_params = params
-        if ep.support:
-            eval_params = inner_adapt(model, params, ep.support, config.inner_lr)
-        scores, gate = model.predict(eval_params, ep.query)
+    def evaluate(task):
+        support = meta_test_episode(memory, schedule.support_size, schedule.batch_size,
+                                    finetune=finetune)
+        eval_params = inner_adapt(model, params, support, config.inner_lr) if support else params
+        del support
+        scores, gate = model.predict(eval_params, task.full_batch())
         if gate is not None:
             gate_records.append(gate)
-        return score_accuracy(scores, ep.query.labels)
+        return score_accuracy(scores, task.labels)
 
     return [evaluate(task) for task in test_tasks], gate_records
 
@@ -277,17 +276,20 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
 
     With ``combined_test`` the test split is scored as one task, so every
     method reports a single accuracy over all test examples.
-    Returns (per_task_accuracies, params, memory, trace, gate_records).
+    Returns (per_task_accuracies, params, memory, trace, gate_records); the
+    params carry no optimizer state.
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
     if config.method in META_METHODS:
         params, memory, trace = run_meta_training(model, suite.train, config, seed,
                                                   stream_order)
-        accs, gates = run_meta_testing(model, params, memory, test, config)
-        return accs, params, memory, trace, gates
-    if config.method == "MTL":
+    elif config.method == "MTL":
         params, memory, trace = train_mtl(model, suite.train, config, seed)
     else:
         params, memory, trace = train_sequential(model, suite.train, config, seed,
                                                  stream_order)
+    params.drop_optimizer_state()  # no update follows; evaluation never reads it
+    if config.method in META_METHODS:
+        accs, gates = run_meta_testing(model, params, memory, test, config)
+        return accs, params, memory, trace, gates
     return evaluate_direct(model, params, test), params, memory, trace, []

@@ -91,42 +91,38 @@ class Classifier:
 
     # -- parameters ---------------------------------------------------------
 
-    def init_params(self, rng: np.random.Generator) -> ParameterSet:
+    def param_shapes(self) -> dict:
+        """{name: (shape, partition)} of every parameter, in initialization order."""
         cfg = self.config
-        tensors: dict[str, np.ndarray] = {}
-        partitions: dict[str, Partition] = {}
         enc_part = Partition.ENCODER if cfg.architecture == "OML" else Partition.PN_ENCODER
-
+        layers = []  # (name, fan_in, fan_out, partition)
         d = cfg.input_dim
         for i, width in enumerate(cfg.encoder_dims):
-            tensors[f"enc{i}.W"] = _glorot(rng, d, width)
-            tensors[f"enc{i}.b"] = np.zeros(width)
-            partitions[f"enc{i}.W"] = enc_part
-            partitions[f"enc{i}.b"] = enc_part
+            layers.append((f"enc{i}", d, width, enc_part))
             d = width
-
         head_out = 1 if cfg.loss_mode == LossMode.CANDIDATE_BCE else cfg.num_classes
-        tensors["head.W"] = _glorot(rng, d, head_out)
-        tensors["head.b"] = np.zeros(head_out)
-        partitions["head.W"] = Partition.HEAD
-        partitions["head.b"] = Partition.HEAD
-
+        layers.append(("head", d, head_out, Partition.HEAD))
         if cfg.architecture == "ANML":
             h = cfg.nm_hidden_dim
-            gate_width = cfg.encoder_dims[-1]
-            # First NM projection stays at its random initialization.
-            tensors["nm_in.W"] = _glorot(rng, cfg.input_dim, h)
-            tensors["nm_in.b"] = np.zeros(h)
-            partitions["nm_in.W"] = Partition.NM_FROZEN
-            partitions["nm_in.b"] = Partition.NM_FROZEN
-            tensors["nm_mid.W"] = _glorot(rng, h, h)
-            tensors["nm_mid.b"] = np.zeros(h)
-            tensors["nm_out.W"] = _glorot(rng, h, gate_width)
-            tensors["nm_out.b"] = np.full(gate_width, NM_OUTPUT_BIAS)
-            for name in ("nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"):
-                partitions[name] = Partition.NM
+            # The first NM projection stays at its random initialization.
+            layers += [("nm_in", cfg.input_dim, h, Partition.NM_FROZEN),
+                       ("nm_mid", h, h, Partition.NM),
+                       ("nm_out", h, cfg.encoder_dims[-1], Partition.NM)]
+        shapes = {}
+        for name, fan_in, fan_out, part in layers:
+            shapes[name + ".W"] = ((fan_in, fan_out), part)
+            shapes[name + ".b"] = ((fan_out,), part)
+        return shapes
 
-        return ParameterSet(tensors, partitions)
+    def init_params(self, rng: np.random.Generator) -> ParameterSet:
+        """Glorot-uniform weights drawn in layer order, zero biases (the NM
+        output bias is NM_OUTPUT_BIAS)."""
+        shapes = self.param_shapes()
+        tensors = {name: _glorot(rng, *shape) if name.endswith(".W") else np.zeros(shape)
+                   for name, (shape, _) in shapes.items()}
+        if "nm_out.b" in tensors:
+            tensors["nm_out.b"][:] = NM_OUTPUT_BIAS
+        return ParameterSet(tensors, {name: part for name, (_, part) in shapes.items()})
 
     def inner_partitions(self) -> frozenset:
         """Partitions adapted by inner-loop SGD (one cached frozenset)."""

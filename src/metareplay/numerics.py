@@ -51,6 +51,7 @@ class ParameterSet:
 
     Adam state is two moment vectors over a single span plus one step count,
     allocated on the first Adam update; that update fixes the span.
+    ``drop_optimizer_state`` frees it once no update follows.
     """
 
     def __init__(self, tensors: dict, partitions: dict):
@@ -69,6 +70,11 @@ class ParameterSet:
         self._set_flat(np.empty(start))
         for name, t in tensors.items():
             self.tensors[name][...] = t
+        self.drop_optimizer_state()
+
+    def drop_optimizer_state(self):
+        """Reset Adam to its state before the first update, freeing the
+        moments and the work buffers."""
         self.adam_t = 0
         self.adam_span = None
         self.moments = None  # (2, span length): first and second moment
@@ -119,10 +125,7 @@ class ParameterSet:
         twin._layouts = self._layouts
         twin._all = self._all
         twin._set_flat(self.flat.copy())
-        twin.adam_t = 0
-        twin.adam_span = None
-        twin.moments = None
-        twin._adam_tmp = None
+        twin.drop_optimizer_state()
         return twin
 
 

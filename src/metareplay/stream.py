@@ -152,8 +152,9 @@ class HashedRows:
     """The hashed bag-of-words rows of a text split, stored sparse (CSR).
 
     Row i has the non-zero values ``vals[indptr[i]:indptr[i + 1]]`` at the
-    buckets ``cols[indptr[i]:indptr[i + 1]]``, in ascending bucket order;
-    the store's size does not depend on ``dim``. It stands in for the dense
+    buckets ``cols[indptr[i]:indptr[i + 1]]``, in ascending bucket order:
+    an int64 row pointer per row, then a uint32 bucket and a float64 value
+    per entry, whatever ``dim``. It stands in for the dense
     float64 ``(n, dim)`` array wherever a split's features are read: a
     row-range slice is a view over the same arrays, and indexing with an
     integer array, ``take(rows, axis=0)`` and ``np.asarray`` return dense
@@ -196,28 +197,33 @@ class HashedRows:
         return self.take(np.arange(self.shape[0]))
 
 
-def _hashed_rows(lengths, buckets, config: FeaturizerConfig) -> HashedRows:
-    """Rows of bucket counts for documents of ``lengths`` tokens whose buckets
-    are concatenated in ``buckets``, L2-normalized if the config says so.
+def _hashed_rows(lengths, keys, config: FeaturizerConfig) -> tuple:
+    """(indptr, cols, vals) of the bucket-count rows of documents of
+    ``lengths`` tokens whose int64 buckets are concatenated in ``keys``
+    (sorted in place), L2-normalized if the config says so.
 
     A row's norm is the square root of the exact integer sum of its squared
     counts, equal to ``np.linalg.norm`` of the dense row while that sum is
     below 2**53, so each count / norm is bit-identical to the dense value.
     """
     dim, n = config.dim, len(lengths)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    keys = np.repeat(np.arange(n, dtype=np.int64) * dim, lengths)
-    keys += np.asarray(buckets, dtype=np.int64)
-    keys, counts = np.unique(keys, return_counts=True)
-    row, cols = np.divmod(keys, dim)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    keys += np.repeat(np.arange(0, n * dim, dim, dtype=np.int64), lengths)
+    keys.sort()
+    # A (row, bucket) key's count runs from its first position to the next key's.
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    counts = np.diff(starts, append=len(keys))
+    keys = keys[starts]
+    indptr = keys.searchsorted(np.arange(0, (n + 1) * dim, dim, dtype=np.int64))
+    cols = np.remainder(keys, dim, out=keys).astype(np.uint32)
     if not config.l2_normalize:
-        return HashedRows(indptr, cols, counts.astype(np.float64), dim)
+        return indptr, cols, counts.astype(np.float64)
     squares = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts * counts, out=squares[1:])
     norms = np.sqrt(np.diff(squares[indptr]))
-    return HashedRows(indptr, cols, counts / np.repeat(norms, np.diff(indptr)), dim)
+    return indptr, cols, counts / np.repeat(norms, np.diff(indptr))
 
 
 class BatchStream:
@@ -383,6 +389,36 @@ def _records(path):
         raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
 
 
+def _file_rows(path, bucket, config: FeaturizerConfig) -> tuple:
+    """(labels, indptr, cols, vals) of one file's documents; ``bucket`` maps
+    a token to its bucket."""
+    labels, lengths = [], []
+
+    def documents():
+        for label, text in _records(path):
+            labels.append(label)
+            text = text.lower()
+            words = (text.translate(_ASCII_SEPARATORS).split() if text.isascii()
+                     else _TOKEN_RE.findall(text))[:config.truncate]
+            lengths.append(len(words))
+            yield words
+
+    tokens = itertools.chain.from_iterable(documents())
+    buckets = np.fromiter(map(bucket, tokens), dtype=np.int64)
+    if not labels:
+        raise InputError(f"{path}: no records")
+    return (labels, *_hashed_rows(lengths, buckets, config))
+
+
+def _extend(store: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """``store`` with ``piece`` appended, grown in place (one realloc) so the
+    entries stored so far are never held twice. No view of ``store`` may exist."""
+    start = len(store)
+    store.resize(start + len(piece), refcheck=False)
+    store[start:] = piece
+    return store
+
+
 def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
     per file, with the file's position as its task id.
@@ -391,26 +427,18 @@ def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     text is tokenized (lowercased, split into runs of word characters and
     apostrophes, cut to ``truncate`` tokens) as it is read and each distinct
     token is hashed to a bucket in [0, dim) once; the split's features are
-    the ``HashedRows`` of the bucket counts, never a dense array.
+    the ``HashedRows`` of the bucket counts, never a dense array. Files are
+    featurized one at a time and their rows appended to the store, so the
+    temporaries of loading scale with the largest file, not with the split.
     """
-    labels, sizes, lengths = [], [], []
-
-    def documents():
-        """Each text's tokens, file by file, recording labels, lengths and sizes."""
-        for path in paths:
-            start = len(labels)
-            for label, text in _records(path):
-                labels.append(label)
-                text = text.lower()
-                tokens = (text.translate(_ASCII_SEPARATORS).split() if text.isascii()
-                          else _TOKEN_RE.findall(text))[:config.truncate]
-                lengths.append(len(tokens))
-                yield tokens
-            if len(labels) == start:
-                raise InputError(f"{path}: no records")
-            sizes.append(len(labels) - start)
-
-    tokens = itertools.chain.from_iterable(documents())
-    buckets = np.fromiter(map(_Buckets(config.dim).__getitem__, tokens), dtype=np.int64)
-    return split_tasks(range(len(paths)), _hashed_rows(lengths, buckets, config),
-                       np.array(labels, dtype=np.int64), sizes)
+    bucket = _Buckets(config.dim).__getitem__
+    labels, sizes, ends = [], [], [np.zeros(1, dtype=np.int64)]
+    cols, vals = np.empty(0, dtype=np.uint32), np.empty(0)
+    for path in paths:
+        file_labels, indptr, file_cols, file_vals = _file_rows(path, bucket, config)
+        labels += file_labels
+        sizes.append(len(file_labels))
+        ends.append(indptr[1:] + len(cols))
+        cols, vals = _extend(cols, file_cols), _extend(vals, file_vals)
+    features = HashedRows(np.concatenate(ends), cols, vals, config.dim)
+    return split_tasks(range(len(paths)), features, np.array(labels, dtype=np.int64), sizes)

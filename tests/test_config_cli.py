@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from metareplay.cli import main, run_grad_check_suite, schedule_info
 from metareplay.config import build_model, build_suite, load_config, parse_config
+from metareplay.learners import run as run_learner
 from metareplay.numerics import InputError
 
 
@@ -151,6 +152,32 @@ def test_cli_checkpoint_option(tmp_path):
     params, model_config = load_checkpoint(out / "order0_seed0" / "checkpoint.npz")
     assert model_config.architecture == "OML"
     assert "head.W" in params.tensors
+
+
+@pytest.mark.parametrize("method", ["OML_ER", "AGEM"])
+def test_cli_record_alignment_writes_the_samples(tmp_path, method):
+    """With record_alignment, each cell's alignment samples (OML_ER: support
+    against memory query; AGEM: its reference checks) go to alignment.jsonl;
+    metrics.jsonl keeps its bytes."""
+    cell = {}
+    for flag in (False, True):
+        cfg_path = tmp_path / f"config_{flag}.json"
+        cfg_path.write_text(json.dumps(_minimal(method=method, record_alignment=flag)))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / str(flag))]) == 0
+        cell[flag] = tmp_path / str(flag) / "order0_seed0"
+    assert ((cell[True] / "metrics.jsonl").read_bytes()
+            == (cell[False] / "metrics.jsonl").read_bytes())
+    assert not (cell[False] / "alignment.jsonl").exists()
+
+    rc = parse_config(_minimal(method=method, record_alignment=True))
+    suite = build_suite(rc)
+    trace = run_learner(build_model(rc, suite), suite, rc.learner, 0, rc.orders[0])[3]
+    records = [json.loads(line)
+               for line in (cell[True] / "alignment.jsonl").read_text().splitlines()]
+    assert records == [{"step": s.step, "dot": s.dot, "norm_a": s.norm_a,
+                        "norm_b": s.norm_b, "cosine": s.cosine} for s in trace.alignment]
+    # OML_ER replays every third episode; AGEM checks every ceil(80 / 8) steps.
+    assert [r["step"] for r in records] == {"OML_ER": [3, 6], "AGEM": [10, 20, 30]}[method]
 
 
 def test_cli_rejects_bad_config_with_exit_code_2(tmp_path):
@@ -485,6 +512,20 @@ def _has_bad_suite_size(cfg) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value < 1
 
 
+def _has_huge_width(cfg) -> bool:
+    """An encoder width, or an ANML_ER NM width, of 10**12 or more: a model
+    that cannot be allocated."""
+    model = cfg.get("model")
+    if not isinstance(model, dict):
+        return False
+    widths = model.get("encoder_dims")
+    widths = widths if isinstance(widths, list) else []
+    if cfg.get("method") == "ANML_ER":
+        widths = [*widths, model.get("nm_hidden_dim")]
+    return any(isinstance(w, int) and not isinstance(w, bool) and w >= 10**12
+               for w in widths)
+
+
 def _has_bad_rate(cfg) -> bool:
     for section, key in _RATES:
         value = cfg.get(section)
@@ -513,6 +554,9 @@ def _has_bad_rate(cfg) -> bool:
 @example("MTL", [("set", ("suite", "examples_per_class"), -3)], False, None)
 @example("SEQ", [("set", ("suite", "examples_per_class"), 10**12),  # 2.8 PiB: fails at once
                  ("set", ("suite", "input_dim"), 100)], False, None)
+@example("OML_ER", [("set", ("model", "encoder_dims"), [10**12])], False, None)
+@example("OML_ER", [("set", ("model", "encoder_dims"), [32, 10**12])], False, None)
+@example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 10**12)], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
@@ -524,7 +568,8 @@ def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_data
             cfg.pop("suite", None)
             cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
         invalid = (wrap or bad_dataset is not None or _has_bad_rate(cfg)
-                   or _has_huge_separation(cfg) or _has_bad_suite_size(cfg))
+                   or _has_huge_separation(cfg) or _has_bad_suite_size(cfg)
+                   or _has_huge_width(cfg))
         if wrap:  # a config that is not a JSON object
             cfg = [cfg]
         path = Path(tmp) / "config.json"

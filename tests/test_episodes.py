@@ -15,7 +15,7 @@ from metareplay.episodes import (
 )
 from metareplay.memory import EpisodicMemory
 from metareplay.numerics import InputError
-from metareplay.stream import Batch, TaskSpec
+from metareplay.stream import TaskSpec
 
 # The longest stream below offers 120 batches of 4; every row of batch i is i.
 TASK = TaskSpec(0, np.repeat(np.arange(120.0), 4)[:, None].repeat(2, axis=1),
@@ -191,19 +191,15 @@ def test_exhausted_stream_returns_none():
 def test_meta_test_episode_shapes():
     mem = _mem()
     mem.write(TASK.take(np.arange(100)))
-    test_batch = Batch(np.zeros((7, 2)), np.zeros(7, dtype=int))
-    ep = meta_test_episode(mem, test_batch, support_size=5, batch_size=8)
-    assert len(ep.support) == 5
-    assert sum(len(b) for b in ep.support) == 40
-    assert ep.query is test_batch
+    support = meta_test_episode(mem, support_size=5, batch_size=8)
+    assert len(support) == 5
+    assert sum(len(b) for b in support) == 40
 
 
 def test_meta_test_episode_without_finetune_is_support_free():
-    test_batch = Batch(np.zeros((3, 2)), np.zeros(3, dtype=int))
-    ep = meta_test_episode(_mem(), test_batch, 5, 8, finetune=False)
-    assert ep.support == [] and ep.query is test_batch
+    assert meta_test_episode(_mem(), 5, 8, finetune=False) == []
 
 
 def test_meta_test_episode_needs_memory_when_finetuning():
     with pytest.raises(InputError):
-        meta_test_episode(_mem(), Batch(np.zeros((1, 2)), np.zeros(1, dtype=int)), 5, 8)
+        meta_test_episode(_mem(), 5, 8)

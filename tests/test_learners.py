@@ -249,6 +249,33 @@ def test_anml_run_reports_gate_records(small_suite, small_schedule):
     assert gates and all(np.all((g.values >= 0) & (g.values <= 1)) for g in gates)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_run_returns_params_without_optimizer_state(small_suite, small_schedule, method):
+    arch = {"ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
+    cfg = LearnerConfig(method, small_schedule, inner_lr=0.01, outer_lr=0.01)
+    _, params, _, trace, _ = run(_clf(arch=arch), small_suite, cfg, seed=0)
+    assert trace.optimizer_steps > 0
+    assert params.moments is None and params._adam_tmp is None
+    assert params.adam_t == 0 and params.adam_span is None
+
+
+def test_meta_testing_densifies_each_test_task_after_fine_tuning(
+        small_suite, small_schedule, monkeypatch):
+    from metareplay import learners
+    calls = []
+    adapt, densify = learners.inner_adapt, TaskSpec.full_batch
+    monkeypatch.setattr(learners, "inner_adapt",
+                        lambda *args: calls.append("adapt") or adapt(*args))
+    monkeypatch.setattr(TaskSpec, "full_batch",
+                        lambda task: calls.append("densify") or densify(task))
+    cfg = LearnerConfig("OML_ER", small_schedule, inner_lr=0.01, outer_lr=0.01,
+                        no_replay=True)
+    params, memory, _ = run_meta_training(_clf(), small_suite.train, cfg, seed=0)
+    calls.clear()
+    learners.run_meta_testing(_clf(), params, memory, small_suite.test, cfg)
+    assert calls == ["adapt", "densify"] * len(small_suite.test)
+
+
 def test_epochs_rejected_for_continual_methods(small_schedule):
     with pytest.raises(InputError):
         LearnerConfig("SEQ", small_schedule, epochs=2)

@@ -97,6 +97,17 @@ def test_nm_first_projection_is_frozen_label():
     assert Partition.NM_FROZEN not in clf.inner_partitions() | clf.outer_partitions()
 
 
+@pytest.mark.parametrize("arch", ["OML", "ANML", "MAML"])
+def test_param_shapes_describe_init_params(arch):
+    clf = Classifier(ModelConfig(input_dim=5, encoder_dims=(4, 3), num_classes=3,
+                                 architecture=arch, nm_hidden_dim=2))
+    params = clf.init_params(RNG)
+    shapes = clf.param_shapes()
+    assert list(shapes) == list(params.tensors)  # checkpoint order
+    assert {n: (t.shape, params.partitions[n]) for n, t in params.tensors.items()} == shapes
+    assert params.flat.size == sum(np.prod(shape) for shape, _ in shapes.values())
+
+
 def test_gradients_respect_partition_filter():
     clf = Classifier(ModelConfig(input_dim=3, encoder_dims=(4,), num_classes=2,
                                  architecture="ANML"))

@@ -274,9 +274,32 @@ def test_hashed_rows_bytes_do_not_grow_with_dim(tmp_path):
         features = one_split(load_text_tasks([path], FeaturizerConfig(dim=dim))).features
         assert features.shape == (40, dim)
         nbytes.append(features.indptr.nbytes + features.cols.nbytes + features.vals.nbytes)
-    # One int64 row pointer per row plus an int64 bucket and a float64 value
-    # per distinct (row, bucket): 41 * 8 + 120 * 16 bytes at every width.
-    assert nbytes == [41 * 8 + 120 * 16] * 4
+    # One int64 row pointer per row plus a uint32 bucket and a float64 value
+    # per distinct (row, bucket): 41 * 8 + 120 * 12 bytes at every width.
+    assert nbytes == [41 * 8 + 120 * 12] * 4
+
+
+def test_loading_holds_the_store_plus_one_file(tmp_path):
+    # Eight files of 400 documents x 50 tokens over 500 words. The loader
+    # may hold the final store plus temporaries of one file at a time: about
+    # 65 bytes per token of a file, 100 allowed. A loader that featurized the
+    # whole split at once would hold about 375 bytes per token of a file.
+    rng = np.random.default_rng(0)
+    vocabulary = [f"w{i}" for i in range(500)]
+    paths = [_write(tmp_path / f"t{f}.tsv",
+                    [" ".join(rng.choice(vocabulary, 50)) for _ in range(400)])
+             for f in range(8)]
+    config = FeaturizerConfig(dim=2**20)
+    load_text_tasks(paths, config)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        split = one_split(load_text_tasks(paths, config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = split.features
+    stored = store.indptr.nbytes + store.cols.nbytes + store.vals.nbytes + split.labels.nbytes
+    assert peak < stored + 100 * 400 * 50
 
 
 def test_featurize_normalization_and_truncation(tmp_path):
