@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from metareplay import LearnerConfig, ReplaySchedule, make_synthetic_suite
-from metareplay.learners import METHODS, run
+from metareplay.learners import META_METHODS, METHODS, architecture_for, run
 from metareplay.model import Classifier, ModelConfig
 
 
@@ -30,10 +30,9 @@ def main():
 
     print(f"{'method':10s} " + " ".join(f"task{t}" for t in range(5)) + "  macro")
     for method in METHODS:
-        arch = {"OML_ER": "OML", "ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
         model = Classifier(ModelConfig(input_dim=args.input_dim, encoder_dims=(32,),
-                                       num_classes=10, architecture=arch))
-        if method in ("OML_ER", "ANML_ER", "MAML_ER"):
+                                       num_classes=10, architecture=architecture_for(method)))
+        if method in META_METHODS:
             cfg = LearnerConfig(method, schedule, inner_lr=0.008, outer_lr=0.025)
         elif method == "MTL":
             cfg = LearnerConfig(method, schedule, outer_lr=0.01, epochs=2)

@@ -28,6 +28,9 @@ from .model import Classifier, ModelConfig
 from .numerics import InputError, LossMode, NumericalError, grad_check
 from .stream import Batch
 
+# Batches drawn per grad-check trial before its --eps is declared unmeetable.
+MAX_GRAD_CHECK_DRAWS = 1000
+
 
 def emit_metrics(records, path: Path) -> None:
     """Write records as JSON lines with sorted keys."""
@@ -44,8 +47,13 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
     suite = build_suite(cfg)
     model = build_model(cfg, suite)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(config_path, out / "config.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(config_path, out / "config.json")
+    except shutil.SameFileError:
+        pass  # the config is already in place
+    except OSError as exc:  # e.g. a file at --out or above it
+        raise InputError(f"--out {out_dir} is not a usable directory: {exc.strerror}")
     seeds = [seed_override] if seed_override is not None else cfg.seeds
     per_seed_macro = []
     timings = []
@@ -136,6 +144,8 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     """
     if trials < 1:
         raise InputError("grad-check needs at least one trial")
+    if not (np.isfinite(eps) and eps > 0):
+        raise InputError(f"--eps must be finite and positive, got {eps}")
     file = file or sys.stdout
     rng = np.random.default_rng(seed)
     configs = [
@@ -167,7 +177,7 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
         for name, t in params.tensors.items():
             if name.endswith(".b"):
                 t += 0.1 * rng.standard_normal(t.shape)
-        while True:
+        for _ in range(MAX_GRAD_CHECK_DRAWS):
             if config.loss_mode == LossMode.CANDIDATE_BCE:
                 k = int(rng.integers(2, 5))
                 batch = Batch(rng.standard_normal((4, k, config.input_dim)),
@@ -177,6 +187,9 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
                               rng.integers(0, config.num_classes, size=8))
             if min_preactivation(clf, params, batch) > 20 * eps:
                 break
+        else:
+            raise InputError(f"--eps {eps}: no batch in {MAX_GRAD_CHECK_DRAWS} draws keeps "
+                             f"every ReLU input more than 20*eps from its kink")
         parts = set(params.partitions.values())
         _, grads = clf.loss_and_grad(params, batch, parts)
         err = grad_check(params, lambda p: clf.loss_and_grad(p, batch, parts)[0],

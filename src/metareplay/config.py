@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .episodes import ReplaySchedule
-from .learners import LearnerConfig
+from .learners import LearnerConfig, architecture_for
 from .model import Classifier, ModelConfig
 from .numerics import InputError
 from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_suite
@@ -68,16 +68,6 @@ _TYPES = {
     "dataset.featurizer.truncate": int,
     "model.architecture": str,
     "orders": [[int]],
-}
-
-_ARCH_FOR_METHOD = {
-    "OML_ER": "OML",
-    "ANML_ER": "ANML",
-    "MAML_ER": "MAML",
-    "SEQ": "OML",
-    "REPLAY": "OML",
-    "AGEM": "OML",
-    "MTL": "OML",
 }
 
 
@@ -199,7 +189,7 @@ def parse_config(raw: dict) -> RunConfig:
         num_classes = 2  # replaced by the loaded label count in build_model
         num_tasks = len(dataset_spec["train_files"])
 
-    arch = cfg["model"]["architecture"] or _ARCH_FOR_METHOD[learner.method]
+    arch = cfg["model"]["architecture"] or architecture_for(learner.method)
     model = ModelConfig(
         input_dim=input_dim,
         encoder_dims=tuple(cfg["model"]["encoder_dims"]),

@@ -97,16 +97,9 @@ def next_episode(stream_iter, memory, schedule: ReplaySchedule, index: int,
     return Episode(index, support, query, STREAM, replay_skipped=replay_due)
 
 
-def meta_test_episode(memory, support_size: int, batch_size: int,
-                      finetune: bool = True) -> list:
+def meta_test_episode(memory, support_size: int, batch_size: int) -> list:
     """The support of a meta-test episode: m batches of memory samples. Its
-    query, a whole test task, is the caller's.
-
-    With fine-tuning disabled the support is empty and evaluation happens at
-    the trained parameters directly.
-    """
-    if not finetune:
-        return []
+    query, a whole test task, is the caller's."""
     if len(memory) == 0:
         raise InputError("meta-test fine-tuning needs a non-empty memory")
     drawn = memory.sample(support_size * batch_size)

@@ -25,6 +25,12 @@ from .stream import BatchStream, one_split, pooled_batches
 META_METHODS = ("OML_ER", "ANML_ER", "MAML_ER")
 BASELINE_METHODS = ("SEQ", "REPLAY", "AGEM", "MTL")
 METHODS = META_METHODS + BASELINE_METHODS
+_OWN_ARCHITECTURE = {"ANML_ER": "ANML", "MAML_ER": "MAML"}  # every other method trains OML
+
+
+def architecture_for(method: str) -> str:
+    """The model architecture ``method`` trains when none is named."""
+    return _OWN_ARCHITECTURE.get(method, "OML")
 
 
 @dataclass
@@ -164,24 +170,13 @@ def run_meta_testing(model, params, memory, test_tasks, config: LearnerConfig):
 
     Each task gets its own memory draw and a fresh copy of the trained
     parameters; the trained parameters are never mutated. The ablation flag
-    skips fine-tuning entirely. A task's features are densified only after
-    fine-tuning, once its support is freed.
+    skips fine-tuning and scores the trained parameters directly.
     """
-    schedule = config.schedule
-    finetune = not config.no_meta_test_finetune
-    gate_records = []
-
-    def evaluate(task):
-        support = meta_test_episode(memory, schedule.support_size, schedule.batch_size,
-                                    finetune=finetune)
-        eval_params = inner_adapt(model, params, support, config.inner_lr) if support else params
-        del support
-        scores, gate = model.predict(eval_params, task.full_batch())
-        if gate is not None:
-            gate_records.append(gate)
-        return score_accuracy(scores, task.labels)
-
-    return [evaluate(task) for task in test_tasks], gate_records
+    if config.no_meta_test_finetune:
+        return evaluate_direct(model, lambda task: params, test_tasks)
+    m, b = config.schedule.support_size, config.schedule.batch_size
+    return evaluate_direct(model, lambda task: inner_adapt(
+        model, params, meta_test_episode(memory, m, b), config.inner_lr), test_tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +256,20 @@ def train_mtl(model, tasks, config: LearnerConfig, seed: int):
     return params, None, trace
 
 
-def evaluate_direct(model, params, test_tasks):
-    """Per-task accuracy at the given parameters, with no adaptation."""
-    return [model.accuracy(params, task.full_batch()) for task in test_tasks]
+def evaluate_direct(model, params_for, test_tasks):
+    """Per-task accuracy, each task scored at ``params_for(task)``, and the
+    GateRecords of an ANML model (an empty list for the others).
+
+    ``params_for`` returns before the task is densified, so a fine-tuning
+    support it draws is freed first.
+    """
+    accs, gates = [], []
+    for task in test_tasks:
+        scores, gate = model.predict(params_for(task), task.full_batch())
+        accs.append(score_accuracy(scores, task.labels))
+        if gate is not None:
+            gates.append(gate)
+    return accs, gates
 
 
 # ---------------------------------------------------------------------------
@@ -291,5 +297,6 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
     params.drop_optimizer_state()  # no update follows; evaluation never reads it
     if config.method in META_METHODS:
         accs, gates = run_meta_testing(model, params, memory, test, config)
-        return accs, params, memory, trace, gates
-    return evaluate_direct(model, params, test), params, memory, trace, []
+    else:
+        accs, gates = evaluate_direct(model, lambda task: params, test)
+    return accs, params, memory, trace, gates

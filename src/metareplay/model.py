@@ -266,11 +266,6 @@ class Classifier:
             )
         return loss, self._backward(params, cache, dlogits, parts)
 
-    def accuracy(self, params: ParameterSet, batch) -> float:
-        """Fraction of correct predictions on a batch."""
-        scores, _ = self.predict(params, batch)
-        return score_accuracy(scores, batch.labels)
-
 
 def score_accuracy(scores: np.ndarray, labels) -> float:
     """Fraction of rows of ``predict``'s scores whose argmax is the label."""

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import QuadraticModel, random_spd
 from metareplay import ReplaySchedule, make_synthetic_suite
 from metareplay.episodes import MEMORY, replay_frequency
-from metareplay.learners import LearnerConfig, agem_project, inner_adapt, run
+from metareplay.learners import LearnerConfig, agem_project, architecture_for, inner_adapt, run
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import ParameterSet, Partition
 
@@ -53,9 +53,8 @@ def _mean_macro(method, kind="BALANCED", rate=0.01, p_write=1.0, epochs=1,
     key = (method, kind, rate, p_write, epochs, inner_lr, outer_lr,
            tuple(sorted(flags.items())))
     if key not in _results:
-        arch = {"OML_ER": "OML", "ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
-        clf = Classifier(ModelConfig(input_dim=DIM, encoder_dims=ENCODER,
-                                     num_classes=10, architecture=arch))
+        clf = Classifier(ModelConfig(input_dim=DIM, encoder_dims=ENCODER, num_classes=10,
+                                     architecture=architecture_for(method)))
         sched = ReplaySchedule(SCHEDULE.batch_size, SCHEDULE.support_size,
                                SCHEDULE.replay_interval, rate)
         cfg = LearnerConfig(method=method, schedule=sched, inner_lr=inner_lr,

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,48 @@ def test_grad_check_without_trials_exits_2(capsys, trials):
     assert "at least one trial" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "1.0"])
+def test_grad_check_with_unmeetable_eps_exits_2_at_once(capsys, eps):
+    # nan and inf are rejected up front; at 1.0 no batch keeps every ReLU
+    # input 20 from its kink, so the redraws per trial run out.
+    start = time.perf_counter()
+    assert main(["grad-check", "--trials", "1", "--eps", eps]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "--eps" in captured.err and captured.out == ""
+
+
+def _cli_config(tmp_path, **over):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal(**over)))
+    return cfg_path
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_cli_out_at_or_under_a_file_exits_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("")
+    assert main(["run", "--config", str(_cli_config(tmp_path)),
+                 "--out", str(tmp_path / out)]) == 2
+    assert f"--out {tmp_path / out}" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_cli_config_inside_its_out_directory_runs(tmp_path):
+    cfg_path = _cli_config(tmp_path)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert json.loads(cfg_path.read_text()) == _minimal()
+    assert (tmp_path / "order0_seed0" / "metrics.jsonl").exists()
+
+
+def test_cli_baseline_with_anml_model_writes_gate_fields(tmp_path):
+    cfg_path = _cli_config(tmp_path, model={"architecture": "ANML"})
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    metrics = json.loads((tmp_path / "o" / "order0_seed0" / "metrics.jsonl").read_text())
+    assert metrics["method"] == "SEQ"
+    for key in ("gate_mean", "gate_frac_high", "gate_frac_low"):
+        assert metrics[key] is not None, key
+
+
 _CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
 
 
@@ -414,6 +457,10 @@ def test_p_write_zero_runs_without_meta_test_finetuning():
     rc = parse_config(_minimal(method="OML_ER", memory={"p_write": 0},
                                ablations={"no_meta_test_finetune": True}))
     assert rc.learner.p_write == 0
+    # Any draw from the empty memory would raise: scoring draws none.
+    suite = build_suite(rc)
+    accs, _, memory, _, _ = run_learner(build_model(rc, suite), suite, rc.learner, 0)
+    assert len(memory) == 0 and len(accs) == 3
 
 
 def test_cli_schedule_info_subcommand(capsys):

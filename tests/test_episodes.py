@@ -196,10 +196,6 @@ def test_meta_test_episode_shapes():
     assert sum(len(b) for b in support) == 40
 
 
-def test_meta_test_episode_without_finetune_is_support_free():
-    assert meta_test_episode(_mem(), 5, 8, finetune=False) == []
-
-
 def test_meta_test_episode_needs_memory_when_finetuning():
     with pytest.raises(InputError):
         meta_test_episode(_mem(), 5, 8)

@@ -6,9 +6,11 @@ import pytest
 from conftest import QuadraticModel, random_spd
 from metareplay import ReplaySchedule
 from metareplay.learners import (
+    BASELINE_METHODS,
     METHODS,
     LearnerConfig,
     agem_project,
+    architecture_for,
     inner_adapt,
     run,
     run_meta_training,
@@ -249,11 +251,23 @@ def test_anml_run_reports_gate_records(small_suite, small_schedule):
     assert gates and all(np.all((g.values >= 0) & (g.values <= 1)) for g in gates)
 
 
+@pytest.mark.parametrize("method", BASELINE_METHODS)
+def test_baselines_report_gate_records_of_an_anml_model(small_suite, small_schedule, method):
+    """Every method is scored through one loop, so an ANML model trained by a
+    baseline reports one gate record per test task, as ANML_ER does."""
+    cfg = LearnerConfig(method, small_schedule, outer_lr=0.01)
+    accs, _, _, _, gates = run(_clf(arch="ANML"), small_suite, cfg, seed=0)
+    assert len(gates) == len(accs) == len(small_suite.test)
+    for g, task in zip(gates, small_suite.test):
+        assert g.values.shape == (task.size, 16)
+        assert np.all((g.values >= 0) & (g.values <= 1))
+    assert run(_clf(), small_suite, cfg, seed=0)[4] == []
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_run_returns_params_without_optimizer_state(small_suite, small_schedule, method):
-    arch = {"ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
     cfg = LearnerConfig(method, small_schedule, inner_lr=0.01, outer_lr=0.01)
-    _, params, _, trace, _ = run(_clf(arch=arch), small_suite, cfg, seed=0)
+    _, params, _, trace, _ = run(_clf(arch=architecture_for(method)), small_suite, cfg, seed=0)
     assert trace.optimizer_steps > 0
     assert params.moments is None and params._adam_tmp is None
     assert params.adam_t == 0 and params.adam_span is None
@@ -325,8 +339,8 @@ def test_candidate_suite_runs_every_method(method, combined):
     # Replay is due every episode and every other baseline step.
     schedule = ReplaySchedule(batch_size=4, support_size=2, replay_interval=8,
                               replay_rate=0.5)
-    arch = {"ANML_ER": "ANML", "MAML_ER": "MAML"}.get(method, "OML")
-    model = Classifier(ModelConfig(input_dim=4, encoder_dims=(6,), architecture=arch,
+    model = Classifier(ModelConfig(input_dim=4, encoder_dims=(6,),
+                                   architecture=architecture_for(method),
                                    nm_hidden_dim=4, loss_mode=LossMode.CANDIDATE_BCE))
     cfg = LearnerConfig(method, schedule, inner_lr=0.05, outer_lr=0.01)
     accs, params, memory, trace, _ = run(model, _candidate_suite(), cfg, seed=0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metareplay.diagnostics import gate_stats
-from metareplay.model import NM_OUTPUT_BIAS, Classifier, ModelConfig
+from metareplay.model import NM_OUTPUT_BIAS, Classifier, ModelConfig, score_accuracy
 from metareplay.numerics import InputError, LossMode, Partition
 from metareplay.stream import Batch
 
@@ -143,7 +143,7 @@ def test_candidate_mode_scores_and_accuracy():
     np.testing.assert_allclose(scores, [[2.0, 3.0], [1.0, 0.1]])
     assert scores.argmax(axis=1).tolist() == [1, 0]
     # Predictions are (1, 0) against positives (1, 1): one of two correct.
-    assert clf.accuracy(params, batch) == pytest.approx(0.5)
+    assert score_accuracy(clf.predict(params, batch)[0], batch.labels) == pytest.approx(0.5)
     with pytest.raises(InputError):  # label outside [0, K)
         clf.loss_and_grad(params, Batch(batch.features, np.array([0, 2])), {Partition.HEAD})
     with pytest.raises(InputError):  # (n, d) features are not candidate lists
