@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 import time
@@ -39,6 +40,24 @@ def emit_metrics(records, path: Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
+    """Raise an InputError naming the first entry under ``out`` that is in
+    the way of a directory or file the run writes."""
+    names = ["metrics.jsonl"] + ["alignment.jsonl"] * cfg.learner.record_alignment
+    names += ["episodes.tsv", "memory.tsv"] * debug_traces
+    names += ["checkpoint.npz"] * cfg.save_checkpoints
+    files = [out / "summary.jsonl", out / "timing.jsonl"]
+    for seed in seeds:
+        for oi in range(len(cfg.orders)):
+            run_dir = out / f"order{oi}_seed{seed}"
+            if os.path.lexists(run_dir) and not run_dir.is_dir():
+                raise InputError(f"{run_dir} is in the way: the run writes a directory there")
+            files += [run_dir / name for name in names]
+    for path in files:
+        if path.is_dir():
+            raise InputError(f"{path} is in the way: the run writes a file there")
+
+
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:
     if seed_override is not None and seed_override < 0:
         raise InputError("--seed must be non-negative")
@@ -47,6 +66,8 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
     suite = build_suite(cfg)
     model = build_model(cfg, suite)
     out = Path(out_dir)
+    seeds = [seed_override] if seed_override is not None else cfg.seeds
+    _check_outputs_are_free(out, cfg, seeds, debug_traces)
     try:
         out.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(config_path, out / "config.json")
@@ -54,7 +75,6 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
         pass  # the config is already in place
     except OSError as exc:  # e.g. a file at --out or above it
         raise InputError(f"--out {out_dir} is not a usable directory: {exc.strerror}")
-    seeds = [seed_override] if seed_override is not None else cfg.seeds
     per_seed_macro = []
     timings = []
 

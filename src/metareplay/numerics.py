@@ -74,11 +74,11 @@ class ParameterSet:
 
     def drop_optimizer_state(self):
         """Reset Adam to its state before the first update, freeing the
-        moments and the work buffers."""
+        moments and the work buffer."""
         self.adam_t = 0
         self.adam_span = None
         self.moments = None  # (2, span length): first and second moment
-        self._adam_tmp = None  # adam_step's work buffers, never copied by clone
+        self._adam_tmp = None  # adam_step's work buffer, never copied by clone
 
     def _set_flat(self, flat):
         self.flat = flat
@@ -220,8 +220,10 @@ def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> Pa
 def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> ParameterSet:
     """In-place Adam update with bias correction over the span of ``parts``.
 
-    State persists on the ParameterSet across calls. The first call fixes
-    the span the moments cover; a call over another span is an InputError.
+    ``grads`` is one vector over that span, consumed: once the moments have
+    read it, it holds the step. State persists on the ParameterSet across
+    calls. The first call fixes the span the moments cover; a call over
+    another span is an InputError.
     """
     if beta < 0:
         raise InputError("beta must be non-negative")
@@ -234,9 +236,9 @@ def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> Pa
     elif span != params.adam_span:
         raise InputError(f"Adam state covers {params.adam_span}, not {span}")
     if params._adam_tmp is None:
-        params._adam_tmp = np.empty((2, grads.size))
+        params._adam_tmp = np.empty(grads.size)
     m, v = params.moments
-    a, b = params._adam_tmp
+    a = params._adam_tmp
     params.adam_t += 1
     t = params.adam_t
     m *= ADAM_BETA1
@@ -249,11 +251,11 @@ def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> Pa
     np.divide(v, 1.0 - ADAM_BETA2 ** t, out=a)
     np.sqrt(a, out=a)
     a += ADAM_EPS
-    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=b)
-    b *= beta
-    b /= a
+    step = np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grads)
+    step *= beta
+    step /= a
     p = params.flat[span]
-    p -= b
+    p -= step
     return params
 
 

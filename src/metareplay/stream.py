@@ -151,19 +151,23 @@ class _Buckets(dict):
 class HashedRows:
     """The hashed bag-of-words rows of a text split, stored sparse (CSR).
 
-    Row i has the non-zero values ``vals[indptr[i]:indptr[i + 1]]`` at the
-    buckets ``cols[indptr[i]:indptr[i + 1]]``, in ascending bucket order:
-    an int64 row pointer per row, then a uint32 bucket and a float64 value
-    per entry, whatever ``dim``. It stands in for the dense
-    float64 ``(n, dim)`` array wherever a split's features are read: a
-    row-range slice is a view over the same arrays, and indexing with an
-    integer array, ``take(rows, axis=0)`` and ``np.asarray`` return dense
-    float64 rows. Negative and out-of-range rows behave as in numpy.
+    Row i has the bucket counts ``counts[indptr[i]:indptr[i + 1]]`` at the
+    buckets ``cols[indptr[i]:indptr[i + 1]]``, in ascending bucket order,
+    and its values are those counts divided by ``norms[i]`` (its L2 norm,
+    or 1.0 in a split that is not normalized). That is an int64 row pointer
+    and a float64 norm per row, and per entry a count in the smallest
+    unsigned type that holds the split's largest count and a bucket in the
+    smallest one that holds ``dim - 1`` (at most 4 bytes). It stands in for
+    the dense float64 ``(n, dim)`` array wherever a split's features are
+    read: a row-range slice is a view over the same arrays, and indexing
+    with an integer array, ``take(rows, axis=0)`` and ``np.asarray`` return
+    dense float64 rows, each value computed as it is read. Negative and
+    out-of-range rows behave as in numpy.
     """
 
-    def __init__(self, indptr, cols, vals, dim: int):
-        self.indptr, self.cols, self.vals = indptr, cols, vals
-        self.shape = (len(indptr) - 1, dim)
+    def __init__(self, indptr, cols, counts, norms, dim: int):
+        self.indptr, self.cols, self.counts, self.norms = indptr, cols, counts, norms
+        self.shape = (len(norms), dim)
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
@@ -171,8 +175,8 @@ class HashedRows:
             if rows.step != 1:
                 raise IndexError("a HashedRows slice must be a row range (step 1)")
             stop = rows.start + len(rows)
-            return HashedRows(self.indptr[rows.start:stop + 1], self.cols, self.vals,
-                              self.shape[1])
+            return HashedRows(self.indptr[rows.start:stop + 1], self.cols, self.counts,
+                              self.norms[rows.start:stop], self.shape[1])
         return self.take(idx)
 
     def take(self, rows, axis=0):
@@ -183,14 +187,14 @@ class HashedRows:
         lengths = self.indptr[1:].take(rows) - starts
         dim = self.shape[1]
         out = np.zeros((len(starts), dim))
-        # pos: the selected rows' cols/vals positions, run after run; flat:
+        # pos: the selected rows' cols/counts positions, run after run; flat:
         # where each entry lands in ``out``.
         ends = lengths.cumsum()
         pos = np.repeat(starts - ends + lengths, lengths)
         pos += np.arange(len(pos))
         flat = np.repeat(np.arange(0, len(starts) * dim, dim), lengths)
         flat += self.cols.take(pos)
-        out.ravel()[flat] = self.vals.take(pos)
+        out.ravel()[flat] = self.counts.take(pos) / np.repeat(self.norms.take(rows), lengths)
         return out
 
     def __array__(self, dtype=None, copy=None):
@@ -198,9 +202,9 @@ class HashedRows:
 
 
 def _hashed_rows(lengths, keys, config: FeaturizerConfig) -> tuple:
-    """(indptr, cols, vals) of the bucket-count rows of documents of
+    """(indptr, cols, counts, norms) of the bucket-count rows of documents of
     ``lengths`` tokens whose int64 buckets are concatenated in ``keys``
-    (sorted in place), L2-normalized if the config says so.
+    (sorted in place); the norms are 1.0 unless the config L2-normalizes.
 
     A row's norm is the square root of the exact integer sum of its squared
     counts, equal to ``np.linalg.norm`` of the dense row while that sum is
@@ -217,13 +221,14 @@ def _hashed_rows(lengths, keys, config: FeaturizerConfig) -> tuple:
     counts = np.diff(starts, append=len(keys))
     keys = keys[starts]
     indptr = keys.searchsorted(np.arange(0, (n + 1) * dim, dim, dtype=np.int64))
-    cols = np.remainder(keys, dim, out=keys).astype(np.uint32)
-    if not config.l2_normalize:
-        return indptr, cols, counts.astype(np.float64)
-    squares = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts * counts, out=squares[1:])
-    norms = np.sqrt(np.diff(squares[indptr]))
-    return indptr, cols, counts / np.repeat(norms, np.diff(indptr))
+    cols = np.remainder(keys, dim, out=keys).astype(np.min_scalar_type(dim - 1))
+    if config.l2_normalize:
+        squares = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts * counts, out=squares[1:])
+        norms = np.sqrt(np.diff(squares[indptr]))
+    else:
+        norms = np.ones(n)
+    return indptr, cols, counts.astype(np.min_scalar_type(counts.max(initial=0))), norms
 
 
 class BatchStream:
@@ -390,8 +395,8 @@ def _records(path):
 
 
 def _file_rows(path, bucket, config: FeaturizerConfig) -> tuple:
-    """(labels, indptr, cols, vals) of one file's documents; ``bucket`` maps
-    a token to its bucket."""
+    """(labels, indptr, cols, counts, norms) of one file's documents;
+    ``bucket`` maps a token to its bucket."""
     labels, lengths = [], []
 
     def documents():
@@ -412,7 +417,11 @@ def _file_rows(path, bucket, config: FeaturizerConfig) -> tuple:
 
 def _extend(store: np.ndarray, piece: np.ndarray) -> np.ndarray:
     """``store`` with ``piece`` appended, grown in place (one realloc) so the
-    entries stored so far are never held twice. No view of ``store`` may exist."""
+    entries stored so far are never held twice, unless ``piece`` needs a wider
+    dtype: then ``store`` is promoted to it first. No view of ``store`` may exist."""
+    dtype = np.promote_types(store.dtype, piece.dtype)
+    if dtype != store.dtype:
+        store = store.astype(dtype)
     start = len(store)
     store.resize(start + len(piece), refcheck=False)
     store[start:] = piece
@@ -432,13 +441,15 @@ def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     temporaries of loading scale with the largest file, not with the split.
     """
     bucket = _Buckets(config.dim).__getitem__
-    labels, sizes, ends = [], [], [np.zeros(1, dtype=np.int64)]
-    cols, vals = np.empty(0, dtype=np.uint32), np.empty(0)
+    labels, sizes, ends, norms = [], [], [np.zeros(1, dtype=np.int64)], []
+    cols, counts = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
     for path in paths:
-        file_labels, indptr, file_cols, file_vals = _file_rows(path, bucket, config)
+        file_labels, indptr, file_cols, file_counts, file_norms = _file_rows(path, bucket, config)
         labels += file_labels
         sizes.append(len(file_labels))
         ends.append(indptr[1:] + len(cols))
-        cols, vals = _extend(cols, file_cols), _extend(vals, file_vals)
-    features = HashedRows(np.concatenate(ends), cols, vals, config.dim)
+        norms.append(file_norms)
+        cols, counts = _extend(cols, file_cols), _extend(counts, file_counts)
+    features = HashedRows(np.concatenate(ends), cols, counts, np.concatenate(norms),
+                          config.dim)
     return split_tasks(range(len(paths)), features, np.array(labels, dtype=np.int64), sizes)

@@ -389,6 +389,31 @@ def test_cli_out_at_or_under_a_file_exits_2(tmp_path, capsys, out):
     assert (tmp_path / "afile").read_text() == ""
 
 
+def _in_the_way_exits_2(tmp_path, capsys, obstacle):
+    """A run whose --out holds ``obstacle`` exits 2 naming it, before any
+    cell trains."""
+    cfg_path = _cli_config(tmp_path, seeds=[0, 1])
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{obstacle} is in the way" in err and "Traceback" not in err
+    assert list(out.rglob("metrics.jsonl")) == []
+
+
+def test_cli_file_in_the_way_of_a_cell_directory_exits_2(tmp_path, capsys):
+    obstacle = tmp_path / "o" / "order0_seed1"
+    obstacle.parent.mkdir()
+    obstacle.write_text("")
+    _in_the_way_exits_2(tmp_path, capsys, obstacle)
+    assert obstacle.read_text() == ""
+
+
+def test_cli_directory_in_the_way_of_timing_jsonl_exits_2(tmp_path, capsys):
+    obstacle = tmp_path / "o" / "timing.jsonl"
+    obstacle.mkdir(parents=True)
+    _in_the_way_exits_2(tmp_path, capsys, obstacle)
+
+
 def test_cli_config_inside_its_out_directory_runs(tmp_path):
     cfg_path = _cli_config(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0

@@ -163,10 +163,26 @@ def test_adam_matches_reference_over_many_steps():
     grads = [RNG.standard_normal(6) for _ in range(25)]
     params = _param(p0)
     for g in grads:
-        adam_step(params, g, 0.01, HEAD)
+        adam_step(params, g.copy(), 0.01, HEAD)
     np.testing.assert_allclose(params.tensors["p"], _reference_adam(p0, grads, 0.01),
                                rtol=1e-12)
     assert params.adam_t == 25
+
+
+def test_adam_keeps_one_work_vector_and_consumes_its_gradient():
+    # The second work vector is the gradient itself, which holds the step
+    # after the call, so the parameters move by exactly what it holds.
+    clf, params = _anml_params()
+    parts = clf.outer_partitions()
+    span = params.span(parts)
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        grads = rng.standard_normal(span.stop - span.start)
+        given, before = grads.copy(), params.flat.copy()
+        adam_step(params, grads, 0.01, parts)
+        assert params._adam_tmp.shape == (span.stop - span.start,)
+        assert not np.array_equal(grads, given)
+        np.testing.assert_array_equal(params.flat[span], before[span] - grads)
 
 
 def test_adam_first_step_size_is_beta():

@@ -1,5 +1,6 @@
 """Streams, the hashed-text loader, and synthetic suite generation."""
 
+import dataclasses
 import re
 import tracemalloc
 import zlib
@@ -204,12 +205,20 @@ def test_featurize_matches_per_token_loop_on_any_text(tmp_path, texts):
 
 
 def test_text_read_paths_match_per_token_loop(tmp_path):
-    """Every way a split's rows are read gives the oracle's dense rows. Each
-    label is the row's split index, so a batch without rows still names them."""
+    """Every way a split's rows are read gives the oracle's dense rows. One
+    text repeats a token 300 times: it is in the first file, or in the last
+    one, after files whose counts all fit in a byte."""
+    texts = _texts(np.random.default_rng(5), 37)
+    for layout in (texts, texts[3:] + texts[:3]):
+        _check_read_paths(tmp_path, layout)
+
+
+def _check_read_paths(tmp_path, texts):
+    """Load ``texts`` as files of 9, 1 and 30 rows under each of _CONFIGS and
+    compare every read path with the oracle. Each label is the row's split
+    index, so a batch without rows still names them."""
     from metareplay.memory import EpisodicMemory
 
-    rng = np.random.default_rng(5)
-    texts = _texts(rng, 37)
     sizes = [9, 1, 30]
     paths, start = [], 0
     for i, size in enumerate(sizes):
@@ -222,6 +231,10 @@ def test_text_read_paths_match_per_token_loop(tmp_path):
         tasks = load_text_tasks(paths, config)
         split = one_split(tasks)
         np.testing.assert_array_equal(split.labels, np.arange(n))
+        counts = np.array([_featurize_loop(text, dataclasses.replace(config, l2_normalize=False))
+                           for text in texts])
+        assert split.features.counts.dtype == np.min_scalar_type(int(counts.max()))
+        assert split.features.cols.dtype == np.min_scalar_type(config.dim - 1)
         for task in tasks:
             rows = want[task.offset:task.offset + task.size]
             idx = np.array([0, task.size - 1, -1, -task.size, 0])
@@ -245,10 +258,21 @@ def test_text_read_paths_match_per_token_loop(tmp_path):
 
         features = split.features
         for lo, hi in ((0, n), (2, 5), (-3, None), (4, 4), (7, 2), (n - 1, n + 9)):
-            part = features[lo:hi]
-            assert isinstance(part, HashedRows) and part.shape == want[lo:hi].shape
-            np.testing.assert_array_equal(np.asarray(part), want[lo:hi])
-        np.testing.assert_array_equal(np.asarray(features[3:][2:6]), want[3:][2:6])
+            part, rows = features[lo:hi], want[lo:hi]
+            assert isinstance(part, HashedRows) and part.shape == rows.shape
+            # Slices of slices, and negative and out-of-range rows of each.
+            subs = [(part, rows)] + [(part[a:b], rows[a:b])
+                                     for a, b in ((1, None), (-2, -1), (0, 0), (2, n))]
+            for sub, sub_rows in subs:
+                np.testing.assert_array_equal(np.asarray(sub), sub_rows)
+                np.testing.assert_array_equal(np.asarray(sub[-2:]), sub_rows[-2:])
+                size = len(sub_rows)
+                if size:
+                    idx = np.array([-1, 0, -size, size - 1, -1])
+                    np.testing.assert_array_equal(sub[idx], sub_rows[idx])
+                for bad in ([size], [-size - 1], [0, size + 3]):
+                    with pytest.raises(IndexError):
+                        sub[np.array(bad)]
         with pytest.raises(IndexError):
             features[::2]
         rows = np.array([-1, -n, n - 1, 0, 0])
@@ -273,16 +297,22 @@ def test_hashed_rows_bytes_do_not_grow_with_dim(tmp_path):
         path = _write(tmp_path / "t.tsv", texts)
         features = one_split(load_text_tasks([path], FeaturizerConfig(dim=dim))).features
         assert features.shape == (40, dim)
-        nbytes.append(features.indptr.nbytes + features.cols.nbytes + features.vals.nbytes)
-    # One int64 row pointer per row plus a uint32 bucket and a float64 value
-    # per distinct (row, bucket): 41 * 8 + 120 * 12 bytes at every width.
-    assert nbytes == [41 * 8 + 120 * 12] * 4
+        nbytes.append(_store_bytes(features))
+    # An int64 row pointer and a float64 norm per row, then a uint8 count
+    # and a bucket per distinct (row, bucket): a uint16 bucket up to 2**16
+    # buckets, a uint32 one beyond, so never more than 4 bytes.
+    assert nbytes == [41 * 8 + 40 * 8 + 120 * 3] * 2 + [41 * 8 + 40 * 8 + 120 * 5] * 2
+
+
+def _store_bytes(features):
+    return (features.indptr.nbytes + features.norms.nbytes + features.cols.nbytes
+            + features.counts.nbytes)
 
 
 def test_loading_holds_the_store_plus_one_file(tmp_path):
     # Eight files of 400 documents x 50 tokens over 500 words. The loader
     # may hold the final store plus temporaries of one file at a time: about
-    # 65 bytes per token of a file, 100 allowed. A loader that featurized the
+    # 54 bytes per token of a file, 80 allowed. A loader that featurized the
     # whole split at once would hold about 375 bytes per token of a file.
     rng = np.random.default_rng(0)
     vocabulary = [f"w{i}" for i in range(500)]
@@ -297,9 +327,8 @@ def test_loading_holds_the_store_plus_one_file(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    store = split.features
-    stored = store.indptr.nbytes + store.cols.nbytes + store.vals.nbytes + split.labels.nbytes
-    assert peak < stored + 100 * 400 * 50
+    stored = _store_bytes(split.features) + split.labels.nbytes
+    assert peak < stored + 80 * 400 * 50
 
 
 def test_featurize_normalization_and_truncation(tmp_path):
