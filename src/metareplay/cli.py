@@ -53,9 +53,9 @@ def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
             if os.path.lexists(run_dir) and not run_dir.is_dir():
                 raise InputError(f"{run_dir} is in the way: the run writes a directory there")
             files += [run_dir / name for name in names]
-    for path in files:
-        if path.is_dir():
-            raise InputError(f"{path} is in the way: the run writes a file there")
+    for path in files:  # a directory, a FIFO, a dangling symlink, ...
+        if os.path.lexists(path) and not path.is_file():
+            raise InputError(f"{path} is in the way: the run writes a regular file there")
 
 
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:

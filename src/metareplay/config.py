@@ -150,6 +150,17 @@ class RunConfig:
     save_checkpoints: bool
 
 
+def _reject_repeats(key: str, values: list) -> None:
+    """Each seed and each order names its own cells; a repeat would train
+    them again and count them twice in the summary."""
+    seen = set()
+    for value in values:
+        item = tuple(value) if isinstance(value, list) else value
+        if item in seen:
+            raise InputError(f"{key} lists {value} more than once")
+        seen.add(item)
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config; every rejected input fails here, before training."""
     if not isinstance(raw, dict):
@@ -168,6 +179,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise InputError("dataset needs at least one task file")
     if not cfg["seeds"] or min(cfg["seeds"]) < 0:
         raise InputError("seeds must be a non-empty list of non-negative integers")
+    _reject_repeats("seeds", cfg["seeds"])
     if has_suite and suite_spec["test_per_class"] < 1:
         raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
     if has_suite and suite_spec["examples_per_class"] < 1:
@@ -202,6 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
     for order in orders:
         if sorted(order) != list(range(num_tasks)):
             raise InputError(f"order {order} is not a permutation of {num_tasks} tasks")
+    _reject_repeats("orders", orders)
 
     return RunConfig(
         model=model,

@@ -18,7 +18,7 @@ from .diagnostics import AlignmentSample, grad_dot
 from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
 from .model import Classifier, score_accuracy
-from .numerics import InputError, adam_step, sgd_step
+from .numerics import Adam, InputError, adam_step, sgd_step
 from .rngs import named_rngs
 from .stream import BatchStream, one_split, pooled_batches
 
@@ -94,12 +94,11 @@ def inner_adapt(model, params, support, alpha: float):
     return adapted
 
 
-def meta_outer_step(model, params, adapted, query, beta: float) -> float:
+def meta_outer_step(model, adam: Adam, adapted, query) -> float:
     """First-order meta update: gradients at the adapted parameters, applied
-    to the original ones via Adam. Returns the query loss."""
-    parts = model.outer_partitions()
-    loss, grads = model.loss_and_grad(adapted, query, parts)
-    adam_step(params, grads, beta, parts)
+    to the original ones (``adam.params``) via Adam. Returns the query loss."""
+    loss, grads = model.loss_and_grad(adapted, query, model.outer_partitions())
+    adam_step(adam, grads)
     return loss
 
 
@@ -124,6 +123,7 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
     """
     params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
                                                        stream_order)
+    adam = Adam(params, model.outer_partitions(), config.outer_lr)
     schedule = config.schedule
     it = iter(stream)
     index = 0
@@ -145,7 +145,7 @@ def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
             if config.record_alignment and ep.query_source == MEMORY:
                 trace.alignment.append(_support_query_alignment(
                     model, params, ep, index))
-            meta_outer_step(model, params, adapted, ep.query, config.outer_lr)
+            meta_outer_step(model, adam, adapted, ep.query)
             trace.optimizer_steps += 1
         trace.episodes.append(
             (ep.index, ep.query_source, len(ep.support),
@@ -213,6 +213,7 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
                                                        stream_order)
     schedule = config.schedule
     parts = model.outer_partitions()
+    adam = Adam(params, parts, config.outer_lr)
     replay = config.method == "REPLAY" and not config.no_replay
     agem = config.method == "AGEM" and not config.no_replay
     cadence = schedule.baseline_frequency
@@ -230,13 +231,13 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
             if violated:  # keyed by the task of the batch's first row
                 tid = int(memory.task_ids(batch.rows[:1])[0])
                 trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
-        adam_step(params, grads, config.outer_lr, parts)
+        adam_step(adam, grads)
         trace.optimizer_steps += 1
         memory.write(batch)
         if replay and step % cadence == 0 and len(memory) > 0:
             replay_batch = memory.sample(schedule.replay_batch_size)
             _, grads = model.loss_and_grad(params, replay_batch, parts)
-            adam_step(params, grads, config.outer_lr, parts)
+            adam_step(adam, grads)
             trace.optimizer_steps += 1
             trace.replay_episodes += 1
     return params, memory, trace
@@ -248,10 +249,11 @@ def train_mtl(model, tasks, config: LearnerConfig, seed: int):
     params = model.init_params(rngs["init"])
     trace = TrainingTrace()
     parts = model.outer_partitions()
+    adam = Adam(params, parts, config.outer_lr)
     for batch in pooled_batches(tasks, config.schedule.batch_size, rngs["mtl"],
                                 epochs=config.epochs):
         _, grads = model.loss_and_grad(params, batch, parts)
-        adam_step(params, grads, config.outer_lr, parts)
+        adam_step(adam, grads)
         trace.optimizer_steps += 1
     return params, None, trace
 
@@ -282,8 +284,7 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
 
     With ``combined_test`` the test split is scored as one task, so every
     method reports a single accuracy over all test examples.
-    Returns (per_task_accuracies, params, memory, trace, gate_records); the
-    params carry no optimizer state.
+    Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
     if config.method in META_METHODS:
@@ -294,7 +295,6 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
     else:
         params, memory, trace = train_sequential(model, suite.train, config, seed,
                                                  stream_order)
-    params.drop_optimizer_state()  # no update follows; evaluation never reads it
     if config.method in META_METHODS:
         accs, gates = run_meta_testing(model, params, memory, test, config)
     else:

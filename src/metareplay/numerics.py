@@ -48,10 +48,6 @@ class ParameterSet:
     contiguous slice, its ``span``; a gradient is one vector over a span.
     ``tensors`` maps each name to a reshaped view into ``flat`` and keeps the
     caller's insertion order, in which checkpoints are written.
-
-    Adam state is two moment vectors over a single span plus one step count,
-    allocated on the first Adam update; that update fixes the span.
-    ``drop_optimizer_state`` frees it once no update follows.
     """
 
     def __init__(self, tensors: dict, partitions: dict):
@@ -70,15 +66,6 @@ class ParameterSet:
         self._set_flat(np.empty(start))
         for name, t in tensors.items():
             self.tensors[name][...] = t
-        self.drop_optimizer_state()
-
-    def drop_optimizer_state(self):
-        """Reset Adam to its state before the first update, freeing the
-        moments and the work buffer."""
-        self.adam_t = 0
-        self.adam_span = None
-        self.moments = None  # (2, span length): first and second moment
-        self._adam_tmp = None  # adam_step's work buffer, never copied by clone
 
     def _set_flat(self, flat):
         self.flat = flat
@@ -115,17 +102,13 @@ class ParameterSet:
                 for n, (a, b, shape) in self.layout(parts)[1].items()}
 
     def clone(self) -> "ParameterSet":
-        """A copy of the parameter values with fresh (empty) Adam state.
-
-        Clones are inner-loop working copies, which take SGD steps only.
-        """
+        """A copy of the parameter values; inner-loop working copies are clones."""
         twin = object.__new__(ParameterSet)
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
         twin._all = self._all
         twin._set_flat(self.flat.copy())
-        twin.drop_optimizer_state()
         return twin
 
 
@@ -217,30 +200,38 @@ def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> Pa
     return params
 
 
-def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> ParameterSet:
-    """In-place Adam update with bias correction over the span of ``parts``.
+class Adam:
+    """Adam's state over the span of ``parts``, with the rate ``lr`` bound:
+    both moments, the step count and one work vector. Its trainer owns it."""
 
-    ``grads`` is one vector over that span, consumed: once the moments have
-    read it, it holds the step. State persists on the ParameterSet across
-    calls. The first call fixes the span the moments cover; a call over
-    another span is an InputError.
+    def __init__(self, params: ParameterSet, parts, lr: float):
+        if lr < 0:
+            raise InputError("beta must be non-negative")
+        self.params = params
+        self.span = params.span(parts)
+        self.lr = lr
+        self.t = 0
+        n = self.span.stop - self.span.start
+        self.moments = np.zeros((2, n))  # first and second moment
+        self._tmp = np.empty(n)
+
+
+def adam_step(adam: Adam, grads: np.ndarray) -> ParameterSet:
+    """In-place Adam update with bias correction of ``adam.params``.
+
+    ``grads`` is one vector over the state's span, consumed: once the moments
+    have read it, it holds the step. A gradient that does not fit the span
+    or is not finite is rejected before anything changes.
     """
-    if beta < 0:
-        raise InputError("beta must be non-negative")
-    span = _span_and_check(params, grads, parts)
+    span = adam.span
+    if np.shape(grads) != adam._tmp.shape:
+        raise InputError(f"gradient shape {np.shape(grads)} does not match span {span}")
     if not np.logical_and.reduce(np.isfinite(grads)):
         raise NumericalError(f"non-finite gradient over parameters {span}")
-    if params.moments is None:
-        params.adam_span = span
-        params.moments = np.zeros((2, grads.size))
-    elif span != params.adam_span:
-        raise InputError(f"Adam state covers {params.adam_span}, not {span}")
-    if params._adam_tmp is None:
-        params._adam_tmp = np.empty(grads.size)
-    m, v = params.moments
-    a = params._adam_tmp
-    params.adam_t += 1
-    t = params.adam_t
+    m, v = adam.moments
+    a = adam._tmp
+    adam.t += 1
+    t = adam.t
     m *= ADAM_BETA1
     np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
     m += a
@@ -252,11 +243,11 @@ def adam_step(params: ParameterSet, grads: np.ndarray, beta: float, parts) -> Pa
     np.sqrt(a, out=a)
     a += ADAM_EPS
     step = np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grads)
-    step *= beta
+    step *= adam.lr
     step /= a
-    p = params.flat[span]
+    p = adam.params.flat[span]
     p -= step
-    return params
+    return adam.params
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -414,6 +415,43 @@ def test_cli_directory_in_the_way_of_timing_jsonl_exits_2(tmp_path, capsys):
     _in_the_way_exits_2(tmp_path, capsys, obstacle)
 
 
+def _special_metrics_file_exits_2(tmp_path, capsys, make):
+    """A run whose order0_seed0/metrics.jsonl is an entry that ``make``
+    creates and that is not a regular file exits 2 naming it, before any cell
+    trains."""
+    cfg_path = _cli_config(tmp_path, seeds=[0, 1])
+    out = tmp_path / "o"
+    obstacle = out / "order0_seed0" / "metrics.jsonl"
+    obstacle.parent.mkdir(parents=True)
+    make(obstacle)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{obstacle} is in the way" in err and "Traceback" not in err
+    assert [p for p in out.rglob("metrics.jsonl") if p.is_file()] == []
+    return obstacle
+
+
+def test_cli_dangling_symlink_at_metrics_jsonl_exits_2(tmp_path, capsys):
+    target = tmp_path / "gone" / "metrics.jsonl"
+    obstacle = _special_metrics_file_exits_2(tmp_path, capsys,
+                                             lambda path: path.symlink_to(target))
+    assert obstacle.is_symlink() and not os.path.lexists(target)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_cli_fifo_at_metrics_jsonl_exits_2(tmp_path, capsys):
+    _special_metrics_file_exits_2(tmp_path, capsys, os.mkfifo)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"seeds": [0, 1, 0]}, "seeds lists 0 more than once"),
+    ({"orders": [[0, 1, 2], [2, 0, 1], [0, 1, 2]]}, "orders lists [0, 1, 2] more than once"),
+], ids=["seeds", "orders"])
+def test_cli_repeated_seed_or_order_exits_2(tmp_path, capsys, over, message):
+    _run_exits_2_and_writes_nothing(tmp_path, _cli_config(tmp_path, **over))
+    assert message in capsys.readouterr().err
+
+
 def test_cli_config_inside_its_out_directory_runs(tmp_path):
     cfg_path = _cli_config(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
@@ -598,6 +636,12 @@ def _has_huge_width(cfg) -> bool:
                for w in widths)
 
 
+def _has_repeated_runs(cfg) -> bool:
+    """A seed, or an order, listed twice."""
+    return any(isinstance(values, list) and any(v in values[:i] for i, v in enumerate(values))
+               for values in (cfg.get("seeds"), cfg.get("orders")))
+
+
 def _has_bad_rate(cfg) -> bool:
     for section, key in _RATES:
         value = cfg.get(section)
@@ -629,6 +673,8 @@ def _has_bad_rate(cfg) -> bool:
 @example("OML_ER", [("set", ("model", "encoder_dims"), [10**12])], False, None)
 @example("OML_ER", [("set", ("model", "encoder_dims"), [32, 10**12])], False, None)
 @example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 10**12)], False, None)
+@example("SEQ", [("set", ("seeds",), [0, 0])], False, None)
+@example("OML_ER", [("set", ("orders",), [[1, 0], [0, 1], [1, 0]])], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
@@ -641,7 +687,7 @@ def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_data
             cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
         invalid = (wrap or bad_dataset is not None or _has_bad_rate(cfg)
                    or _has_huge_separation(cfg) or _has_bad_suite_size(cfg)
-                   or _has_huge_width(cfg))
+                   or _has_huge_width(cfg) or _has_repeated_runs(cfg))
         if wrap:  # a config that is not a JSON object
             cfg = [cfg]
         path = Path(tmp) / "config.json"

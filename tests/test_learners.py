@@ -1,5 +1,7 @@
 """Training procedures: meta-gradient properties, baselines, protocols."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import QuadraticModel, random_spd
 from metareplay import ReplaySchedule
 from metareplay.learners import (
     BASELINE_METHODS,
+    META_METHODS,
     METHODS,
     LearnerConfig,
     agem_project,
@@ -265,12 +268,31 @@ def test_baselines_report_gate_records_of_an_anml_model(small_suite, small_sched
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_run_returns_params_without_optimizer_state(small_suite, small_schedule, method):
+def test_run_returns_params_without_optimizer_state(small_suite, small_schedule, method,
+                                                    monkeypatch):
+    """The trainer owns its Adam state and frees it when it returns, so no
+    Adam object is alive while meta-testing or scoring runs."""
+    from metareplay import learners
+    made, alive_at_entry = [], []
+
+    class Recorded(learners.Adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    def checked(fn):
+        def wrapper(*args):
+            alive_at_entry.append(sum(ref() is not None for ref in made))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(learners, "Adam", Recorded)
+    for name in ("run_meta_testing", "evaluate_direct"):
+        monkeypatch.setattr(learners, name, checked(getattr(learners, name)))
     cfg = LearnerConfig(method, small_schedule, inner_lr=0.01, outer_lr=0.01)
-    _, params, _, trace, _ = run(_clf(arch=architecture_for(method)), small_suite, cfg, seed=0)
-    assert trace.optimizer_steps > 0
-    assert params.moments is None and params._adam_tmp is None
-    assert params.adam_t == 0 and params.adam_span is None
+    _, _, _, trace, _ = run(_clf(arch=architecture_for(method)), small_suite, cfg, seed=0)
+    assert trace.optimizer_steps > 0 and len(made) == 1
+    assert alive_at_entry == [0] * (2 if method in META_METHODS else 1)
 
 
 def test_meta_testing_densifies_each_test_task_after_fine_tuning(

@@ -9,6 +9,7 @@ from metareplay.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    Adam,
     InputError,
     NumericalError,
     ParameterSet,
@@ -162,11 +163,12 @@ def test_adam_matches_reference_over_many_steps():
     p0 = RNG.standard_normal(6)
     grads = [RNG.standard_normal(6) for _ in range(25)]
     params = _param(p0)
+    adam = Adam(params, HEAD, 0.01)
     for g in grads:
-        adam_step(params, g.copy(), 0.01, HEAD)
+        adam_step(adam, g.copy())
     np.testing.assert_allclose(params.tensors["p"], _reference_adam(p0, grads, 0.01),
                                rtol=1e-12)
-    assert params.adam_t == 25
+    assert adam.t == 25
 
 
 def test_adam_keeps_one_work_vector_and_consumes_its_gradient():
@@ -175,12 +177,13 @@ def test_adam_keeps_one_work_vector_and_consumes_its_gradient():
     clf, params = _anml_params()
     parts = clf.outer_partitions()
     span = params.span(parts)
+    adam = Adam(params, parts, 0.01)
     rng = np.random.default_rng(12)
     for _ in range(3):
         grads = rng.standard_normal(span.stop - span.start)
         given, before = grads.copy(), params.flat.copy()
-        adam_step(params, grads, 0.01, parts)
-        assert params._adam_tmp.shape == (span.stop - span.start,)
+        adam_step(adam, grads)
+        assert adam._tmp.shape == (span.stop - span.start,)
         assert not np.array_equal(grads, given)
         np.testing.assert_array_equal(params.flat[span], before[span] - grads)
 
@@ -190,39 +193,43 @@ def test_adam_first_step_size_is_beta():
     # regardless of the gradient scale.
     for scale in (1e-4, 1.0, 1e4):
         params = _param([0.0])
-        adam_step(params, np.array([scale]), 0.01, HEAD)
+        adam_step(Adam(params, HEAD, 0.01), np.array([scale]))
         assert params.tensors["p"][0] == pytest.approx(-0.01, rel=1e-3)
 
 
 def test_adam_beta_zero_is_identity_for_values():
     params = _param([3.0, -2.0])
-    adam_step(params, np.array([1.0, 1.0]), 0.0, HEAD)
+    adam = Adam(params, HEAD, 0.0)
+    adam_step(adam, np.array([1.0, 1.0]))
     np.testing.assert_allclose(params.tensors["p"], [3.0, -2.0])
-    assert params.adam_t == 1  # state still advances
+    assert adam.t == 1  # state still advances
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_rejects_one_non_finite_gradient_entry(bad):
     params = _param([1.0, 2.0, 3.0])
+    adam = Adam(params, HEAD, 0.1)
     with pytest.raises(NumericalError):
-        adam_step(params, np.array([0.5, bad, -0.5]), 0.1, HEAD)
+        adam_step(adam, np.array([0.5, bad, -0.5]))
     np.testing.assert_array_equal(params.tensors["p"], [1.0, 2.0, 3.0])
-    assert params.adam_t == 0 and params.moments is None
+    assert adam.t == 0 and not adam.moments.any()
 
 
-def test_adam_state_survives_clone():
-    # A clone is an inner-loop working copy: it starts with no Adam state,
-    # and nothing done to it touches the original's.
-    params = _param([1.0])
-    adam_step(params, np.array([1.0]), 0.1, HEAD)
-    moments = params.moments.copy()
+def test_sgd_on_a_clone_leaves_the_original_and_its_adam_state():
+    # A clone is an inner-loop working copy: SGD steps on it touch neither
+    # the parameters it was cloned from nor the Adam state over them.
+    params = _param([1.0, -1.0])
+    adam = Adam(params, HEAD, 0.1)
+    adam_step(adam, np.array([1.0, 0.5]))
+    values, moments = params.flat.copy(), adam.moments.copy()
     clone = params.clone()
-    assert clone.adam_t == 0 and clone.moments is None and clone.adam_span is None
-    adam_step(clone, np.array([1.0]), 0.1, HEAD)
-    assert params.adam_t == 1 and clone.adam_t == 1
-    assert not np.shares_memory(clone.moments, params.moments)
-    np.testing.assert_array_equal(params.moments, moments)
-    assert params.tensors["p"][0] != clone.tensors["p"][0]
+    assert not np.shares_memory(clone.flat, params.flat)
+    for _ in range(3):
+        sgd_step(clone, np.array([2.0, -3.0]), 0.05, HEAD)
+    np.testing.assert_array_equal(params.flat, values)
+    np.testing.assert_array_equal(adam.moments, moments)
+    assert adam.t == 1 and adam.params is params
+    np.testing.assert_allclose(clone.flat, values - 3 * 0.05 * np.array([2.0, -3.0]))
 
 
 def test_grad_check_accepts_true_gradient_and_rejects_wrong_one():
@@ -264,11 +271,12 @@ def test_flat_adam_equals_per_tensor_loop():
     clf, params = _anml_params()
     parts = clf.outer_partitions()
     ref = {n: t.copy() for n, t in params.tensors.items()}
+    adam = Adam(params, parts, 0.01)
     m, v = {}, {}
     rng = np.random.default_rng(8)
     for t in range(1, 26):
         named, flat = _random_grads(rng, params, parts)
-        adam_step(params, flat, 0.01, parts)
+        adam_step(adam, flat)
         for n, g in named.items():  # the per-tensor update, same op order
             mn = m.setdefault(n, np.zeros_like(g))
             vn = v.setdefault(n, np.zeros_like(g))
@@ -278,7 +286,7 @@ def test_flat_adam_equals_per_tensor_loop():
             vn += (1.0 - ADAM_BETA2) * g * g
             ref[n] -= (0.01 * (mn / (1.0 - ADAM_BETA1 ** t))
                        / (np.sqrt(vn / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS))
-    assert params.adam_t == 25
+    assert adam.t == 25
     for n in ref:  # the frozen projection is untouched in both
         np.testing.assert_array_equal(params.tensors[n], ref[n])
 
@@ -325,13 +333,23 @@ def test_flat_agem_and_grad_dot_equal_sorted_concatenation():
     assert projected_any
 
 
-def test_adam_over_a_second_span_raises():
+def test_adam_rejects_a_gradient_of_another_length():
+    # A gradient over the inner span, or one entry too long, changes neither
+    # the parameters nor the state.
     clf, params = _anml_params()
     outer, inner = clf.outer_partitions(), clf.inner_partitions()
-    adam_step(params, np.zeros_like(params.flat[params.span(outer)]), 0.1, outer)
-    with pytest.raises(InputError):
-        adam_step(params, np.zeros_like(params.flat[params.span(inner)]), 0.1, inner)
-    assert params.adam_t == 1
+    adam = Adam(params, outer, 0.1)
+    n = adam.span.stop - adam.span.start
+    adam_step(adam, np.random.default_rng(11).standard_normal(n))
+    values, moments = params.flat.copy(), adam.moments.copy()
+    inner_len = params.span(inner).stop - params.span(inner).start
+    assert inner_len != n
+    for length in (inner_len, n + 1):
+        with pytest.raises(InputError):
+            adam_step(adam, np.ones(length))
+    np.testing.assert_array_equal(params.flat, values)
+    np.testing.assert_array_equal(adam.moments, moments)
+    assert adam.t == 1
 
 
 def test_clone_copies_one_buffer():
