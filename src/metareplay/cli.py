@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import save_checkpoint
-from .config import build_model, build_suite, load_config
+from .config import build_model, build_suite, read_config
 from .diagnostics import gate_stats, macro_accuracy
 from .episodes import ReplaySchedule
 from .learners import run as run_learner
@@ -46,7 +45,7 @@ def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
     names = ["metrics.jsonl"] + ["alignment.jsonl"] * cfg.learner.record_alignment
     names += ["episodes.tsv", "memory.tsv"] * debug_traces
     names += ["checkpoint.npz"] * cfg.save_checkpoints
-    files = [out / "summary.jsonl", out / "timing.jsonl"]
+    files = [out / "config.json", out / "summary.jsonl", out / "timing.jsonl"]
     for seed in seeds:
         for oi in range(len(cfg.orders)):
             run_dir = out / f"order{oi}_seed{seed}"
@@ -61,7 +60,7 @@ def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:
     if seed_override is not None and seed_override < 0:
         raise InputError("--seed must be non-negative")
-    cfg = load_config(config_path)
+    config_bytes, cfg = read_config(config_path)
     # Every input is read and checked before anything is written.
     suite = build_suite(cfg)
     model = build_model(cfg, suite)
@@ -70,9 +69,8 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
     _check_outputs_are_free(out, cfg, seeds, debug_traces)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(config_path, out / "config.json")
-    except shutil.SameFileError:
-        pass  # the config is already in place
+        with open(out / "config.json", "wb") as fh:  # the bytes read, even from a pipe
+            fh.write(config_bytes)
     except OSError as exc:  # e.g. a file at --out or above it
         raise InputError(f"--out {out_dir} is not a usable directory: {exc.strerror}")
     per_seed_macro = []
@@ -164,6 +162,8 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     """
     if trials < 1:
         raise InputError("grad-check needs at least one trial")
+    if seed < 0:
+        raise InputError("--seed must be non-negative")
     if not (np.isfinite(eps) and eps > 0):
         raise InputError(f"--eps must be finite and positive, got {eps}")
     file = file or sys.stdout
@@ -182,11 +182,8 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
         """Smallest |z| over all ReLU inputs; central differences are only
         trustworthy when no unit sits within eps of the kink."""
         _, cache = clf._scores(params, batch.features)
-        zs = [np.abs(z).min() for z in cache["enc_out"]]
-        for key in ("nm_z0", "nm_z1"):
-            if key in cache:
-                zs.append(np.abs(cache[key]).min())
-        return min(zs)
+        records = cache["encoder"] + cache.get("nm", [])[:-1]  # the NM top feeds a sigmoid
+        return min(np.abs(z).min() for _, z in records)
 
     worst = 0.0
     for trial in range(trials):

@@ -236,15 +236,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def load_config(path) -> RunConfig:
+def read_config(path) -> tuple[bytes, RunConfig]:
+    """The config file's bytes, read once (it may be a pipe), and their RunConfig."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        raw = json.loads(data.decode("utf-8"), parse_constant=_finite_float,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read config: {exc}") from exc
-    return parse_config(raw)
+    return data, parse_config(raw)
+
+
+def load_config(path) -> RunConfig:
+    return read_config(path)[1]
 
 
 def build_suite(run_config: RunConfig) -> Suite:

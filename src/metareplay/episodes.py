@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .numerics import InputError
@@ -40,6 +41,11 @@ class ReplaySchedule:
             raise InputError("replay rate must be in [0, 1]")
         if self.support_size < 1:
             raise InputError("support size must be >= 1")
+        # The schedule is float arithmetic; a value no float can hold overflows it.
+        for name in ("replay_interval", "batch_size", "support_size"):
+            value = getattr(self, name)
+            if value > sys.float_info.max:
+                raise InputError(f"{name} ({len(str(value))} digits) is beyond a float")
         replay_frequency(self.replay_interval, self.batch_size, self.support_size)
         if self.replay_batch_size < 1:
             raise InputError("replay batch size floor(r * R_I) must be >= 1")

@@ -8,8 +8,11 @@ Three variants over a shared small dense encoder:
   neuromodulatory (NM) network; the NM is fixed in the inner loop.
 * ``MAML`` — ANML without the gate; the whole prediction path is adapted.
 
-Forward and backward passes are hand-written so inner loops can request
-gradients for an arbitrary subset of parameter partitions.
+Each network is stated once, as stacks of (layer name, partition): the
+encoder, ANML's NM network and the head. One forward helper runs a stack;
+the backward pass walks each stack down with one helper and forms an input
+gradient only while a requested partition lies below it, so inner loops can
+request gradients for any contiguous set of parameter partitions.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ ARCHITECTURES = ("OML", "ANML", "MAML")
 # Sigmoid bias on the NM output layer so initial gates sit near sigma(2)=0.88
 # instead of collapsing the representation at the start of training.
 NM_OUTPUT_BIAS = 2.0
-
-_HEAD_ONLY = frozenset({Partition.HEAD})
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -76,42 +76,60 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _run_stack(t: dict, stack: list, h: np.ndarray) -> list:
+    """Each layer's (input, pre-activation) up a stack of ``h @ W + b`` layers
+    with a ReLU between them; the caller applies the top layer's activation."""
+    records = []
+    for name, _ in stack:
+        if records:
+            h = relu(records[-1][1])
+        z = h @ t[name + ".W"]
+        z += t[name + ".b"]
+        records.append((h, z))
+    return records
+
+
 class Classifier:
     """Bundles a ModelConfig with forward/backward and partition queries."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         arch = config.architecture
-        if arch == "OML":
-            self._inner = _HEAD_ONLY
-            self._outer = frozenset({Partition.ENCODER, Partition.HEAD})
-        else:
-            self._inner = frozenset({Partition.PN_ENCODER, Partition.HEAD})
-            self._outer = self._inner | {Partition.NM} if arch == "ANML" else self._inner
+        enc_part = Partition.ENCODER if arch == "OML" else Partition.PN_ENCODER
+        # The layer stacks, bottom up, as (layer name, partition).
+        self._encoder = [(f"enc{i}", enc_part) for i in range(len(config.encoder_dims))]
+        # ANML's NM network; its first projection stays at its random initialization.
+        self._nm = [("nm_in", Partition.NM_FROZEN), ("nm_mid", Partition.NM),
+                    ("nm_out", Partition.NM)] if arch == "ANML" else []
+        self._head = [("head", Partition.HEAD)]
+        # The partitions below each layer's input and below each stack's output;
+        # the head sits on both other stacks.
+        self._below = {}
+        for key, stack in (("encoder", self._encoder), ("nm", self._nm)):
+            for i, (name, _) in enumerate(stack):
+                self._below[name] = frozenset(part for _, part in stack[:i])
+            self._below[key] = frozenset(part for _, part in stack)
+        self._below["head"] = self._below["encoder"] | self._below["nm"]
+        self._outer = self._below["head"] - {Partition.NM_FROZEN} | {Partition.HEAD}
+        self._inner = (frozenset({Partition.HEAD}) if arch == "OML"
+                       else self._outer - {Partition.NM})
 
     # -- parameters ---------------------------------------------------------
 
     def param_shapes(self) -> dict:
         """{name: (shape, partition)} of every parameter, in initialization order."""
         cfg = self.config
-        enc_part = Partition.ENCODER if cfg.architecture == "OML" else Partition.PN_ENCODER
-        layers = []  # (name, fan_in, fan_out, partition)
-        d = cfg.input_dim
-        for i, width in enumerate(cfg.encoder_dims):
-            layers.append((f"enc{i}", d, width, enc_part))
-            d = width
+        rep = cfg.encoder_dims[-1]
         head_out = 1 if cfg.loss_mode == LossMode.CANDIDATE_BCE else cfg.num_classes
-        layers.append(("head", d, head_out, Partition.HEAD))
-        if cfg.architecture == "ANML":
-            h = cfg.nm_hidden_dim
-            # The first NM projection stays at its random initialization.
-            layers += [("nm_in", cfg.input_dim, h, Partition.NM_FROZEN),
-                       ("nm_mid", h, h, Partition.NM),
-                       ("nm_out", h, cfg.encoder_dims[-1], Partition.NM)]
         shapes = {}
-        for name, fan_in, fan_out, part in layers:
-            shapes[name + ".W"] = ((fan_in, fan_out), part)
-            shapes[name + ".b"] = ((fan_out,), part)
+        for stack, fan_in, widths in (
+                (self._encoder, cfg.input_dim, cfg.encoder_dims),
+                (self._head, rep, (head_out,)),
+                (self._nm, cfg.input_dim, (cfg.nm_hidden_dim, cfg.nm_hidden_dim, rep))):
+            for (name, part), fan_out in zip(stack, widths):
+                shapes[name + ".W"] = ((fan_in, fan_out), part)
+                shapes[name + ".b"] = ((fan_out,), part)
+                fan_in = fan_out
         return shapes
 
     def init_params(self, rng: np.random.Generator) -> ParameterSet:
@@ -135,48 +153,31 @@ class Classifier:
     # -- forward ------------------------------------------------------------
 
     def _forward(self, params: ParameterSet, x: np.ndarray):
+        """Logits and a cache of each stack's layer records (see ``_run_stack``),
+        plus the representation and the gate where the NM network gates it."""
         cfg = self.config
         if x.ndim != 2 or x.shape[1] != cfg.input_dim:
             raise InputError(
                 f"expected features of dimension {cfg.input_dim}, got {x.shape}"
             )
         t = params.tensors
-        cache = {"x": x, "enc_in": [], "enc_out": []}
-        h = x
-        for i in range(len(cfg.encoder_dims)):
-            z = h @ t[f"enc{i}.W"]
-            z += t[f"enc{i}.b"]
-            cache["enc_in"].append(h)
-            cache["enc_out"].append(z)
-            h = relu(z)
-        cache["rep"] = h
-
-        if cfg.architecture == "ANML":
-            z0 = x @ t["nm_in.W"]
-            z0 += t["nm_in.b"]
-            a0 = relu(z0)
-            z1 = a0 @ t["nm_mid.W"]
-            z1 += t["nm_mid.b"]
-            a1 = relu(z1)
-            z2 = a1 @ t["nm_out.W"]
-            z2 += t["nm_out.b"]
-            gate = sigmoid(z2)
-            cache.update(nm_z0=z0, nm_a0=a0, nm_z1=z1, nm_a1=a1, gate=gate)
+        cache = {"encoder": _run_stack(t, self._encoder, x)}
+        h = relu(cache["encoder"][-1][1])
+        if self._nm:
+            cache["nm"] = _run_stack(t, self._nm, x)
+            cache["rep"] = h
+            cache["gate"] = gate = sigmoid(cache["nm"][-1][1])
             h = h * gate
-            cache["gated"] = h
-
-        logits = h @ t["head.W"]
-        logits += t["head.b"]
-        cache["head_in"] = h
-        return logits, cache
+        cache["head"] = _run_stack(t, self._head, h)
+        return cache["head"][0][1], cache
 
     def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray,
                   parts: frozenset):
         """A fresh gradient vector over ``params.span(parts)``, filled through
-        the layout's cached slots. Input gradients are formed only where a
-        requested partition lies below them."""
-        cfg = self.config
+        the layout's cached slots. An input gradient is formed only where a
+        requested partition lies below it."""
         t = params.tensors
+        below = self._below
         span, slots = params.layout(parts)
         flat = np.empty(span.stop - span.start)
 
@@ -186,34 +187,29 @@ class Classifier:
             a, b, _ = slots[layer + ".b"]  # biases are vectors
             np.add.reduce(dz, axis=0, out=flat[a:b])
 
+        def walk(stack, records, dz):
+            """Down a stack from ``dz``, the gradient at its top pre-activation."""
+            for i in reversed(range(len(stack))):
+                name, part = stack[i]
+                if part in parts:
+                    weight_grads(name, records[i][0], dz)
+                if parts.isdisjoint(below[name]):
+                    return
+                dz = relu_backward(records[i - 1][1], dz @ t[name + ".W"].T)
+
         if Partition.HEAD in parts:
-            weight_grads("head", cache["head_in"], dlogits)
-        # Only OML's cached inner set stops here; an equal set built
-        # elsewhere takes the general path, which adds nothing to ``flat``.
-        if parts is _HEAD_ONLY:
+            weight_grads("head", cache["head"][0][0], dlogits)
+        if parts.isdisjoint(below["head"]):
             return flat
         dh = dlogits @ t["head.W"].T
-
-        if cfg.architecture == "ANML":
+        if self._nm:
             gate = cache["gate"]
-            if Partition.NM in parts or Partition.NM_FROZEN in parts:
-                dz2 = sigmoid_backward(gate, dh * cache["rep"])
-                dz1 = relu_backward(cache["nm_z1"], dz2 @ t["nm_out.W"].T)
-                if Partition.NM in parts:
-                    weight_grads("nm_out", cache["nm_a1"], dz2)
-                    weight_grads("nm_mid", cache["nm_a0"], dz1)
-                if Partition.NM_FROZEN in parts:
-                    dz0 = relu_backward(cache["nm_z0"], dz1 @ t["nm_mid.W"].T)
-                    weight_grads("nm_in", cache["x"], dz0)
+            if not parts.isdisjoint(below["nm"]):
+                walk(self._nm, cache["nm"], sigmoid_backward(gate, dh * cache["rep"]))
             dh = dh * gate
-
-        enc_part = Partition.ENCODER if cfg.architecture == "OML" else Partition.PN_ENCODER
-        if enc_part in parts:
-            for i in reversed(range(len(cfg.encoder_dims))):
-                dz = relu_backward(cache["enc_out"][i], dh)
-                weight_grads(f"enc{i}", cache["enc_in"][i], dz)
-                if i:
-                    dh = dz @ t[f"enc{i}.W"].T
+        if not parts.isdisjoint(below["encoder"]):
+            records = cache["encoder"]
+            walk(self._encoder, records, relu_backward(records[-1][1], dh))
         return flat
 
     def _scores(self, params: ParameterSet, x: np.ndarray):

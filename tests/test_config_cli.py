@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -357,6 +358,12 @@ def test_cli_negative_seed_argument_exits_2(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_grad_check_negative_seed_exits_2(capsys):
+    assert main(["grad-check", "--trials", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_grad_check_without_trials_exits_2(capsys, trials):
     assert main(["grad-check", "--trials", trials]) == 2
@@ -415,13 +422,12 @@ def test_cli_directory_in_the_way_of_timing_jsonl_exits_2(tmp_path, capsys):
     _in_the_way_exits_2(tmp_path, capsys, obstacle)
 
 
-def _special_metrics_file_exits_2(tmp_path, capsys, make):
-    """A run whose order0_seed0/metrics.jsonl is an entry that ``make``
-    creates and that is not a regular file exits 2 naming it, before any cell
-    trains."""
+def _special_file_exits_2(tmp_path, capsys, make, name="order0_seed0/metrics.jsonl"):
+    """A run whose ``name`` under --out is an entry that ``make`` creates and
+    that is not a regular file exits 2 naming it, before any cell trains."""
     cfg_path = _cli_config(tmp_path, seeds=[0, 1])
     out = tmp_path / "o"
-    obstacle = out / "order0_seed0" / "metrics.jsonl"
+    obstacle = out / name
     obstacle.parent.mkdir(parents=True)
     make(obstacle)
     assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -433,14 +439,38 @@ def _special_metrics_file_exits_2(tmp_path, capsys, make):
 
 def test_cli_dangling_symlink_at_metrics_jsonl_exits_2(tmp_path, capsys):
     target = tmp_path / "gone" / "metrics.jsonl"
-    obstacle = _special_metrics_file_exits_2(tmp_path, capsys,
-                                             lambda path: path.symlink_to(target))
+    obstacle = _special_file_exits_2(tmp_path, capsys, lambda path: path.symlink_to(target))
     assert obstacle.is_symlink() and not os.path.lexists(target)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 def test_cli_fifo_at_metrics_jsonl_exits_2(tmp_path, capsys):
-    _special_metrics_file_exits_2(tmp_path, capsys, os.mkfifo)
+    _special_file_exits_2(tmp_path, capsys, os.mkfifo)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_cli_fifo_at_the_config_copy_exits_2(tmp_path, capsys):
+    _special_file_exits_2(tmp_path, capsys, os.mkfifo, "config.json")
+
+
+def test_cli_dangling_symlink_at_the_config_copy_exits_2(tmp_path, capsys):
+    _special_file_exits_2(tmp_path, capsys,
+                          lambda path: path.symlink_to(tmp_path / "gone.json"), "config.json")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_cli_config_from_a_pipe_runs_and_is_copied_unchanged(tmp_path):
+    data = json.dumps(_minimal(), indent=1).encode() + b"\n"  # not what a re-dump would write
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(pipe), "--out", str(out)]) == 0
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (out / "config.json").read_bytes() == data
+    assert (out / "order0_seed0" / "metrics.jsonl").is_file()
 
 
 @pytest.mark.parametrize("over, message", [
@@ -530,6 +560,13 @@ def test_cli_schedule_info_subcommand(capsys):
     assert main(["schedule-info", "--replay-interval", "1600", "--batch-size", "4",
                  "--support-size", "5", "--replay-rate", "0.01"]) == 0
     assert "67" in capsys.readouterr().out
+
+
+def test_cli_schedule_info_rejects_an_interval_no_float_holds(capsys):
+    assert main(["schedule-info", "--replay-interval", str(10**400), "--batch-size", "4",
+                 "--support-size", "5", "--replay-rate", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert "replay_interval" in captured.err and captured.out == ""
 
 
 # -- property: every config either runs or is rejected, never a traceback ----
@@ -675,6 +712,7 @@ def _has_bad_rate(cfg) -> bool:
 @example("ANML_ER", [("set", ("model", "nm_hidden_dim"), 10**12)], False, None)
 @example("SEQ", [("set", ("seeds",), [0, 0])], False, None)
 @example("OML_ER", [("set", ("orders",), [[1, 0], [0, 1], [1, 0]])], False, None)
+@example("SEQ", [("set", ("schedule", "replay_interval"), 10**400)], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):

@@ -179,6 +179,10 @@ _CONFIGS = {
                         architecture="ANML", nm_hidden_dim=9),
     "MAML": ModelConfig(input_dim=10, encoder_dims=(32,), num_classes=6,
                         architecture="MAML"),
+    "ANML-deep": ModelConfig(input_dim=10, encoder_dims=(12, 8), num_classes=6,
+                             architecture="ANML", nm_hidden_dim=9),
+    "MAML-deep": ModelConfig(input_dim=10, encoder_dims=(12, 8), num_classes=6,
+                             architecture="MAML"),
 }
 
 
@@ -205,6 +209,38 @@ def test_loss_and_grad_matches_views_reference(name, which, as_frozenset):
     again = clf.loss_and_grad(params, batch, parts)[1]
     assert not np.shares_memory(grad, again)
     np.testing.assert_array_equal(again, grad)
+
+
+def _spans(params):
+    """Every set of the model's partitions that ``ParameterSet.span`` accepts."""
+    names = sorted(set(params.partitions.values()))
+    for bits in range(1, 2 ** len(names)):
+        parts = frozenset(p for i, p in enumerate(names) if bits >> i & 1)
+        try:
+            params.span(parts)
+        except InputError:  # not one contiguous slice
+            continue
+        yield parts
+
+
+def test_loss_and_grad_matches_reference_over_every_span():
+    """Input gradients are formed only while a requested layer lies below;
+    e.g. ``{NM_FROZEN}`` alone and ``{HEAD, NM}`` must still match."""
+    batch = Batch(RNG.standard_normal((16, 10)), RNG.integers(0, 6, 16))
+    checked = 0
+    for name in sorted(_CONFIGS):
+        clf = Classifier(_CONFIGS[name])
+        params = clf.init_params(np.random.default_rng(5))
+        params.flat += 0.1 * RNG.standard_normal(params.flat.size)
+        for parts in _spans(params):
+            loss, grad = clf.loss_and_grad(params, batch, parts)
+            ref_loss, ref_grad = _loss_and_grad_ref(clf, params, batch, parts)
+            assert loss == ref_loss, (name, sorted(parts))
+            np.testing.assert_array_equal(grad, ref_grad, err_msg=f"{name} {sorted(parts)}")
+            checked += 1
+    # OML and MAML: 3 sets each (two partitions); ANML: the 10 runs of its
+    # four partitions in layout order (PN_ENCODER, HEAD, NM, NM_FROZEN).
+    assert checked == 32
 
 
 @pytest.mark.parametrize("arch", ["OML", "ANML"])
