@@ -43,7 +43,7 @@ def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
     """Raise an InputError naming the first entry under ``out`` that is in
     the way of a directory or file the run writes."""
     names = ["metrics.jsonl"] + ["alignment.jsonl"] * cfg.learner.record_alignment
-    names += ["episodes.tsv", "memory.tsv"] * debug_traces
+    names += ["events.jsonl"] * debug_traces
     names += ["checkpoint.npz"] * cfg.save_checkpoints
     files = [out / "config.json", out / "summary.jsonl", out / "timing.jsonl"]
     for seed in seeds:
@@ -116,12 +116,13 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
                              run_dir / "alignment.jsonl")
             # Wall-clock goes in a sidecar so metrics files stay byte-reproducible.
             timings.append({"order": oi, "seed": seed, "seconds": elapsed})
-            if debug_traces:
-                with open(run_dir / "episodes.tsv", "w", encoding="utf-8") as fh:
-                    for idx, source, n_sup, n_q in trace.episodes:
-                        fh.write(f"{idx}\t{source}\t{n_sup}\t{n_q}\n")
-                if memory is not None:
-                    memory.dump(run_dir / "memory.tsv")
+            if debug_traces:  # MTL has no episodes and no memory: an empty file
+                stored = zip(*memory.stored()) if memory is not None else ()
+                emit_metrics([{"event": "episode", "index": i, "query_source": source,
+                               "support_size": m, "query_size": n}
+                              for i, source, m, n in trace.episodes]
+                             + [{"event": "stored", "task_id": t, "label": y}
+                                for t, y in stored], run_dir / "events.jsonl")
             if cfg.save_checkpoints:
                 save_checkpoint(run_dir / "checkpoint.npz", params, model.config)
             order_macros.append(record["macro_accuracy"])

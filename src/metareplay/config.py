@@ -247,6 +247,10 @@ def read_config(path) -> tuple[bytes, RunConfig]:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read config: {exc}") from exc
+    except InputError:  # a non-finite number, named by _finite_float
+        raise
+    except (ValueError, RecursionError) as exc:  # a too-long integer, too deep nesting
+        raise InputError(f"{path}: cannot parse config: {exc}") from exc
     return data, parse_config(raw)
 
 

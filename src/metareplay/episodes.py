@@ -46,6 +46,8 @@ class ReplaySchedule:
             value = getattr(self, name)
             if value > sys.float_info.max:
                 raise InputError(f"{name} ({len(str(value))} digits) is beyond a float")
+        if self.support_size > sys.maxsize:  # next_episode's islice takes no larger stop
+            raise InputError(f"support_size must be at most {sys.maxsize}")
         replay_frequency(self.replay_interval, self.batch_size, self.support_size)
         if self.replay_batch_size < 1:
             raise InputError("replay batch size floor(r * R_I) must be >= 1")

@@ -109,10 +109,7 @@ class EpisodicMemory:
         ids, counts = np.unique(self.task_ids(self._rows[:self._size]), return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def dump(self, path):
-        """Write (task id, label) lines for composition audits."""
+    def stored(self) -> tuple[list, list]:
+        """The task ids and the labels of the stored examples, in storage order."""
         rows = self._rows[:self._size]
-        labels = self._split.labels.take(rows).tolist()
-        with open(path, "w", encoding="utf-8") as fh:
-            for tid, label in zip(self.task_ids(rows).tolist(), labels):
-                fh.write(f"{tid}\t{label}\n")
+        return self.task_ids(rows).tolist(), self._split.labels.take(rows).tolist()

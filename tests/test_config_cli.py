@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -138,11 +139,61 @@ def test_cli_run_writes_metrics_and_summary(tmp_path):
     assert len(metrics["per_task_accuracy"]) == 3
     summary = json.loads((out / "summary.jsonl").read_text())
     assert 0.0 <= summary["macro_accuracy_mean"] <= 1.0
-    assert (out / "order0_seed0" / "episodes.tsv").exists()
-    assert (out / "order0_seed0" / "memory.tsv").exists()
+    # SEQ trains in no episodes: its events are the memory's stored examples.
+    events = [json.loads(line)
+              for line in (out / "order0_seed0" / "events.jsonl").read_text().splitlines()]
+    assert len(events) == metrics["memory_size"] > 0
+    assert {e["event"] for e in events} == {"stored"}
     assert (out / "timing.jsonl").exists()
     # Timing lives in its own file, never inside the metrics records.
     assert "seconds" not in metrics
+
+
+def test_cli_debug_traces_write_the_episodes_then_the_stored_examples(tmp_path):
+    """``events.jsonl`` holds one record per episode of the trace, then one per
+    stored example, in storage order."""
+    cfg_path = _cli_config(tmp_path, method="OML_ER")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--debug-traces"]) == 0
+    events = [json.loads(line)
+              for line in (out / "order0_seed0" / "events.jsonl").read_text().splitlines()]
+
+    rc = load_config(cfg_path)
+    suite = build_suite(rc)
+    _, _, memory, trace, _ = run_learner(build_model(rc, suite), suite, rc.learner, 0,
+                                         rc.orders[0])
+    task_ids, labels = memory.stored()
+    assert events == (
+        [{"event": "episode", "index": i, "query_source": source, "support_size": m,
+          "query_size": n} for i, source, m, n in trace.episodes]
+        + [{"event": "stored", "task_id": t, "label": y} for t, y in zip(task_ids, labels)])
+    assert len(trace.episodes) > 0 and len(task_ids) == len(memory) > 0
+    assert {"MEMORY", "STREAM"} == {e["query_source"] for e in events[:len(trace.episodes)]}
+
+
+@pytest.mark.parametrize("method", ["MTL", "OML_ER"])
+def test_cli_every_file_a_run_writes_is_checked_first(tmp_path, capsys, method):
+    """With every optional output on, each file the run writes is one the
+    pre-flight check guards: a directory at its path exits 2 naming it. An
+    entry where the run writes nothing is no obstacle."""
+    cfg_path = _cli_config(tmp_path, method=method, record_alignment=True,
+                           save_checkpoints=True)
+    args = ["run", "--config", str(cfg_path), "--debug-traces", "--out"]
+    out = tmp_path / "o"
+    (out / "order0_seed0" / "memory.tsv").mkdir(parents=True)  # a name no run writes
+    assert main(args + [str(out)]) == 0
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == ["config.json", "order0_seed0/alignment.jsonl",
+                       "order0_seed0/checkpoint.npz", "order0_seed0/events.jsonl",
+                       "order0_seed0/metrics.jsonl", "summary.jsonl", "timing.jsonl"]
+    if method == "MTL":  # no episodes and no memory
+        assert (out / "order0_seed0" / "events.jsonl").read_text() == ""
+    capsys.readouterr()
+    for i, name in enumerate(written):
+        obstacle = tmp_path / f"o{i}" / name
+        obstacle.mkdir(parents=True)
+        assert main(args + [str(tmp_path / f"o{i}")]) == 2
+        assert f"{obstacle} is in the way" in capsys.readouterr().err
 
 
 def test_cli_checkpoint_option(tmp_path):
@@ -397,12 +448,19 @@ def test_cli_out_at_or_under_a_file_exits_2(tmp_path, capsys, out):
     assert (tmp_path / "afile").read_text() == ""
 
 
+# The files a run writes besides metrics.jsonl, timing.jsonl and config.json,
+# with every optional output on.
+_OTHER_OUTPUTS = ["summary.jsonl", "order0_seed1/alignment.jsonl",
+                  "order0_seed1/checkpoint.npz", "order0_seed1/events.jsonl"]
+
+
 def _in_the_way_exits_2(tmp_path, capsys, obstacle):
-    """A run whose --out holds ``obstacle`` exits 2 naming it, before any
-    cell trains."""
-    cfg_path = _cli_config(tmp_path, seeds=[0, 1])
+    """A run with every optional output on, whose --out holds ``obstacle``,
+    exits 2 naming it, before any cell trains."""
+    cfg_path = _cli_config(tmp_path, seeds=[0, 1], record_alignment=True,
+                           save_checkpoints=True)
     out = tmp_path / "o"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--debug-traces"]) == 2
     err = capsys.readouterr().err
     assert f"{obstacle} is in the way" in err and "Traceback" not in err
     assert list(out.rglob("metrics.jsonl")) == []
@@ -422,15 +480,24 @@ def test_cli_directory_in_the_way_of_timing_jsonl_exits_2(tmp_path, capsys):
     _in_the_way_exits_2(tmp_path, capsys, obstacle)
 
 
+@pytest.mark.parametrize("name", _OTHER_OUTPUTS)
+def test_cli_directory_in_the_way_of_an_output_file_exits_2(tmp_path, capsys, name):
+    obstacle = tmp_path / "o" / name
+    obstacle.mkdir(parents=True)
+    _in_the_way_exits_2(tmp_path, capsys, obstacle)
+
+
 def _special_file_exits_2(tmp_path, capsys, make, name="order0_seed0/metrics.jsonl"):
-    """A run whose ``name`` under --out is an entry that ``make`` creates and
-    that is not a regular file exits 2 naming it, before any cell trains."""
-    cfg_path = _cli_config(tmp_path, seeds=[0, 1])
+    """A run with every optional output on, whose ``name`` under --out is an
+    entry that ``make`` creates and that is not a regular file, exits 2
+    naming it, before any cell trains."""
+    cfg_path = _cli_config(tmp_path, seeds=[0, 1], record_alignment=True,
+                           save_checkpoints=True)
     out = tmp_path / "o"
     obstacle = out / name
     obstacle.parent.mkdir(parents=True)
     make(obstacle)
-    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--debug-traces"]) == 2
     err = capsys.readouterr().err
     assert f"{obstacle} is in the way" in err and "Traceback" not in err
     assert [p for p in out.rglob("metrics.jsonl") if p.is_file()] == []
@@ -446,6 +513,12 @@ def test_cli_dangling_symlink_at_metrics_jsonl_exits_2(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
 def test_cli_fifo_at_metrics_jsonl_exits_2(tmp_path, capsys):
     _special_file_exits_2(tmp_path, capsys, os.mkfifo)
+
+
+@pytest.mark.parametrize("name", _OTHER_OUTPUTS)
+def test_cli_dangling_symlink_at_an_output_file_exits_2(tmp_path, capsys, name):
+    _special_file_exits_2(tmp_path, capsys,
+                          lambda path: path.symlink_to(tmp_path / "gone"), name)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
@@ -539,11 +612,46 @@ def test_cli_overflow_in_training_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-def test_cli_non_finite_config_float_exits_2(tmp_path, literal):
+def test_cli_non_finite_config_float_exits_2(tmp_path, capsys, literal):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_minimal()).replace(
         '"input_dim": 5', f'"input_dim": 5, "separation": {literal}'))
     _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert f"error: config numbers must be finite, got {literal}\n" == capsys.readouterr().err
+
+
+def test_cli_config_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    """Python reads no integer string longer than 4,300 digits: a config
+    holding one is bad input, named in the error."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_minimal()).replace('"seeds": [0]',
+                                                       '"seeds": [' + "1" * 5000 + "]"))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    err = capsys.readouterr().err
+    assert f"error: {cfg_path}: " in err and "4300 digits" in err
+
+
+def test_cli_config_nested_too_deep_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"method": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert f"error: {cfg_path}: " in capsys.readouterr().err
+
+
+def test_cli_support_size_beyond_sys_maxsize_exits_2(tmp_path, capsys):
+    """An episode's support is sliced from the stream with itertools.islice,
+    which takes no stop above sys.maxsize."""
+    schedule = {"batch_size": 8, "support_size": sys.maxsize + 1, "replay_interval": 80,
+                "replay_rate": 0.1}
+    cfg_path = _cli_config(tmp_path, method="OML_ER", schedule=schedule)
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "support_size" in capsys.readouterr().err
+    assert main(["schedule-info", "--replay-interval", "80", "--batch-size", "8",
+                 "--support-size", str(sys.maxsize + 1), "--replay-rate", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert "support_size" in captured.err and captured.out == ""
+    assert main(["schedule-info", "--replay-interval", "80", "--batch-size", "8",
+                 "--support-size", str(sys.maxsize), "--replay-rate", "0.1"]) == 0
 
 
 def test_p_write_zero_runs_without_meta_test_finetuning():
@@ -679,6 +787,16 @@ def _has_repeated_runs(cfg) -> bool:
                for values in (cfg.get("seeds"), cfg.get("orders")))
 
 
+def _has_oversized_int(cfg) -> bool:
+    """A seed longer than Python's 4,300-digit int-string limit, or a
+    schedule support_size above sys.maxsize."""
+    seeds, schedule = cfg.get("seeds"), cfg.get("schedule")
+    support = schedule.get("support_size") if isinstance(schedule, dict) else None
+    return ((isinstance(seeds, list) and any(isinstance(s, int) and s >= 10**4300
+                                             for s in seeds))
+            or (isinstance(support, int) and support > sys.maxsize))
+
+
 def _has_bad_rate(cfg) -> bool:
     for section, key in _RATES:
         value = cfg.get(section)
@@ -713,6 +831,8 @@ def _has_bad_rate(cfg) -> bool:
 @example("SEQ", [("set", ("seeds",), [0, 0])], False, None)
 @example("OML_ER", [("set", ("orders",), [[1, 0], [0, 1], [1, 0]])], False, None)
 @example("SEQ", [("set", ("schedule", "replay_interval"), 10**400)], False, None)
+@example("SEQ", [("set", ("seeds",), [(10**5000 - 1) // 9])], False, None)  # 5,000 ones
+@example("OML_ER", [("set", ("schedule", "support_size"), sys.maxsize + 1)], False, None)
 @given(st.sampled_from(["OML_ER", "ANML_ER", "MAML_ER", "SEQ", "REPLAY", "AGEM", "MTL"]),
        _MUTATIONS, st.booleans(), st.sampled_from([None, *_BAD_DATASETS]))
 def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_dataset):
@@ -725,11 +845,17 @@ def test_cli_exits_0_2_or_3_on_mutated_configs(method, mutations, wrap, bad_data
             cfg["dataset"] = _dataset_config(Path(tmp), *_BAD_DATASETS[bad_dataset])["dataset"]
         invalid = (wrap or bad_dataset is not None or _has_bad_rate(cfg)
                    or _has_huge_separation(cfg) or _has_bad_suite_size(cfg)
-                   or _has_huge_width(cfg) or _has_repeated_runs(cfg))
+                   or _has_huge_width(cfg) or _has_repeated_runs(cfg)
+                   or _has_oversized_int(cfg))
         if wrap:  # a config that is not a JSON object
             cfg = [cfg]
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(cfg))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the config may hold an integer a run cannot read
+        try:
+            path.write_text(json.dumps(cfg))
+        finally:
+            sys.set_int_max_str_digits(limit)
         out = Path(tmp) / "out"
         code = main(["run", "--config", str(path), "--out", str(out)])
         wrote = out.exists()

@@ -166,13 +166,19 @@ def test_invalid_p_write_raises():
         _memory(1.5)
 
 
-def test_dump_format(tmp_path):
-    task = TaskSpec(1, np.zeros((2, 2)), np.array([4, 7]))
-    mem = _memory(1.0, tasks=(task,))
-    mem.write(task.take(np.arange(2)))
-    path = tmp_path / "mem.tsv"
-    mem.dump(path)
-    assert path.read_text().splitlines() == ["1\t4", "1\t7"]
+def test_dump_format():
+    """``stored`` gives each stored example's task id and label as plain
+    ints, in storage order (the stored records of ``events.jsonl``)."""
+    first, second = _split(TaskSpec(3, np.zeros((2, 2)), np.array([4, 7])),
+                           TaskSpec(1, np.zeros((2, 2)), np.array([5, 6])))
+    mem = _memory(1.0, tasks=(first, second))
+    assert mem.stored() == ([], [])
+    mem.write(first.take(np.arange(1)))
+    mem.write(second.take(np.arange(2)))
+    mem.write(first.take(np.arange(1, 2)))
+    task_ids, labels = mem.stored()
+    assert (task_ids, labels) == ([3, 1, 1, 3], [4, 5, 6, 7])
+    assert {type(v) for v in task_ids + labels} == {int}
 
 
 # -- the row-reference store against the list reference ----------------------
