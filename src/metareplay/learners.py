@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .diagnostics import AlignmentSample, grad_dot
 from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
@@ -284,19 +285,22 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
 
     With ``combined_test`` the test split is scored as one task, so every
     method reports a single accuracy over all test examples.
+    Training and scoring run with numpy's OpenBLAS on the calling thread
+    (``blas.one_blas_thread``), so two Python threads must not call it at once.
     Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
-    if config.method in META_METHODS:
-        params, memory, trace = run_meta_training(model, suite.train, config, seed,
-                                                  stream_order)
-    elif config.method == "MTL":
-        params, memory, trace = train_mtl(model, suite.train, config, seed)
-    else:
-        params, memory, trace = train_sequential(model, suite.train, config, seed,
-                                                 stream_order)
-    if config.method in META_METHODS:
-        accs, gates = run_meta_testing(model, params, memory, test, config)
-    else:
-        accs, gates = evaluate_direct(model, lambda task: params, test)
+    with one_blas_thread():
+        if config.method in META_METHODS:
+            params, memory, trace = run_meta_training(model, suite.train, config, seed,
+                                                      stream_order)
+        elif config.method == "MTL":
+            params, memory, trace = train_mtl(model, suite.train, config, seed)
+        else:
+            params, memory, trace = train_sequential(model, suite.train, config, seed,
+                                                     stream_order)
+        if config.method in META_METHODS:
+            accs, gates = run_meta_testing(model, params, memory, test, config)
+        else:
+            accs, gates = evaluate_direct(model, lambda task: params, test)
     return accs, params, memory, trace, gates

@@ -394,13 +394,17 @@ def _records(path):
         raise InputError(f"{path}: cannot read dataset file: {exc}") from exc
 
 
-def _file_rows(path, bucket, config: FeaturizerConfig) -> tuple:
-    """(labels, indptr, cols, counts, norms) of one file's documents;
-    ``bucket`` maps a token to its bucket."""
-    labels, lengths = [], []
+_BLOCK_DOCS = 4096  # documents featurized at once; bounds the loader's temporaries
 
-    def documents():
-        for label, text in _records(path):
+
+def _file_rows(path, bucket, config: FeaturizerConfig):
+    """Yield (labels, indptr, cols, counts, norms) of each block of up to
+    ``_BLOCK_DOCS`` consecutive documents of one file, in file order;
+    ``bucket`` maps a token to its bucket."""
+    records = _records(path)
+
+    def documents(labels, lengths):
+        for label, text in itertools.islice(records, _BLOCK_DOCS):
             labels.append(label)
             text = text.lower()
             words = (text.translate(_ASCII_SEPARATORS).split() if text.isascii()
@@ -408,11 +412,13 @@ def _file_rows(path, bucket, config: FeaturizerConfig) -> tuple:
             lengths.append(len(words))
             yield words
 
-    tokens = itertools.chain.from_iterable(documents())
-    buckets = np.fromiter(map(bucket, tokens), dtype=np.int64)
-    if not labels:
-        raise InputError(f"{path}: no records")
-    return (labels, *_hashed_rows(lengths, buckets, config))
+    while True:
+        labels, lengths = [], []
+        tokens = itertools.chain.from_iterable(documents(labels, lengths))
+        buckets = np.fromiter(map(bucket, tokens), dtype=np.int64)
+        if not labels:
+            return
+        yield (labels, *_hashed_rows(lengths, buckets, config))
 
 
 def _extend(store: np.ndarray, piece: np.ndarray) -> np.ndarray:
@@ -436,20 +442,25 @@ def load_text_tasks(paths, config: FeaturizerConfig) -> list:
     text is tokenized (lowercased, split into runs of word characters and
     apostrophes, cut to ``truncate`` tokens) as it is read and each distinct
     token is hashed to a bucket in [0, dim) once; the split's features are
-    the ``HashedRows`` of the bucket counts, never a dense array. Files are
-    featurized one at a time and their rows appended to the store, so the
-    temporaries of loading scale with the largest file, not with the split.
+    the ``HashedRows`` of the bucket counts, never a dense array. Each file
+    is featurized in blocks of ``_BLOCK_DOCS`` documents, each block's rows
+    appended to the store, so the temporaries of loading are bounded by the
+    block size, not by the size of a file or of the split.
     """
     bucket = _Buckets(config.dim).__getitem__
     labels, sizes, ends, norms = [], [], [np.zeros(1, dtype=np.int64)], []
     cols, counts = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
     for path in paths:
-        file_labels, indptr, file_cols, file_counts, file_norms = _file_rows(path, bucket, config)
-        labels += file_labels
-        sizes.append(len(file_labels))
-        ends.append(indptr[1:] + len(cols))
-        norms.append(file_norms)
-        cols, counts = _extend(cols, file_cols), _extend(counts, file_counts)
+        start = len(labels)
+        for block_labels, indptr, block_cols, block_counts, block_norms in _file_rows(
+                path, bucket, config):
+            labels += block_labels
+            ends.append(indptr[1:] + len(cols))
+            norms.append(block_norms)
+            cols, counts = _extend(cols, block_cols), _extend(counts, block_counts)
+        if len(labels) == start:
+            raise InputError(f"{path}: no records")
+        sizes.append(len(labels) - start)
     features = HashedRows(np.concatenate(ends), cols, counts, np.concatenate(norms),
                           config.dim)
     return split_tasks(range(len(paths)), features, np.array(labels, dtype=np.int64), sizes)

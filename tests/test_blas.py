@@ -1,0 +1,54 @@
+"""The one-thread OpenBLAS context around training."""
+
+import pytest
+
+from metareplay import blas
+
+
+@pytest.fixture
+def fake_api(monkeypatch):
+    """A thread API that records the count; the caller's count is 3."""
+    state = {"threads": 3}
+    monkeypatch.setattr(blas, "thread_api",
+                        lambda: (lambda: state["threads"],
+                                 lambda n: state.__setitem__("threads", n)))
+    return state
+
+
+def test_one_thread_in_the_body_and_the_count_restored_on_return(fake_api):
+    with blas.one_blas_thread():
+        assert fake_api["threads"] == 1
+    assert fake_api["threads"] == 3
+
+
+def test_the_count_is_restored_when_the_body_raises(fake_api):
+    with pytest.raises(RuntimeError, match="boom"), blas.one_blas_thread():
+        assert fake_api["threads"] == 1
+        raise RuntimeError("boom")
+    assert fake_api["threads"] == 3
+
+
+def test_the_real_count_is_one_in_the_body_and_restored():
+    api = blas.thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS thread API found")
+    get, _ = api
+    before = get()
+    with blas.one_blas_thread():
+        assert get() == 1
+    assert get() == before
+
+
+@pytest.mark.parametrize("libraries", [[], ["/nonexistent/libopenblas.so"]],
+                         ids=["none", "unloadable"])
+def test_no_library_found_is_a_no_op(monkeypatch, libraries):
+    real = blas.thread_api()
+    before = real[0]() if real else None
+    monkeypatch.setattr(blas, "_openblas_libraries", lambda: libraries)
+    blas.thread_api.cache_clear()
+    try:
+        assert blas.thread_api() is None
+        with blas.one_blas_thread():
+            assert (real[0]() if real else None) == before
+    finally:
+        blas.thread_api.cache_clear()  # the next lookup finds the real library again

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import QuadraticModel, random_spd
-from metareplay import ReplaySchedule
+from metareplay import ReplaySchedule, blas
 from metareplay.learners import (
     BASELINE_METHODS,
     META_METHODS,
@@ -22,7 +22,7 @@ from metareplay.learners import (
 )
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
-from metareplay.stream import BatchStream, Suite, TaskSpec, split_tasks
+from metareplay.stream import BatchStream, Suite, TaskSpec, make_synthetic_suite, split_tasks
 
 RNG = np.random.default_rng(23)
 
@@ -293,6 +293,39 @@ def test_run_returns_params_without_optimizer_state(small_suite, small_schedule,
     _, _, _, trace, _ = run(_clf(arch=architecture_for(method)), small_suite, cfg, seed=0)
     assert trace.optimizer_steps > 0 and len(made) == 1
     assert alive_at_entry == [0] * (2 if method in META_METHODS else 1)
+
+
+@pytest.mark.parametrize("method", ["AGEM", "OML_ER"])
+def test_run_results_do_not_depend_on_the_callers_blas_thread_count(method):
+    """At d=1024 a gradient spans over 10,000 entries, past the size where
+    OpenBLAS sums a dot product in an order set by its thread count; the
+    A-GEM projections and alignment samples use such dots."""
+    api = blas.thread_api()
+    if api is None:
+        pytest.skip("no OpenBLAS thread API found")
+    get, set_ = api
+    suite = make_synthetic_suite("BALANCED", num_tasks=3, classes_per_task=2,
+                                 examples_per_class=40, input_dim=1024, seed=3,
+                                 test_per_class=10)
+    schedule = ReplaySchedule(batch_size=8, support_size=3, replay_interval=40,
+                              replay_rate=1.0)
+    cfg = LearnerConfig(method, schedule, record_alignment=True)
+    caller = get()
+    results = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            if get() != threads:
+                pytest.skip(f"OpenBLAS cannot run {threads} threads here")
+            model = Classifier(ModelConfig(input_dim=1024, encoder_dims=(16,), num_classes=6))
+            accs, params, _, trace, _ = run(model, suite, cfg, seed=0)
+            assert get() == threads
+            results.append((accs, params.flat.tobytes(),
+                            [(a.step, a.dot, a.norm_a, a.norm_b) for a in trace.alignment]))
+    finally:
+        set_(caller)
+    assert results[0][2], "no alignment samples were recorded"
+    assert results[0] == results[1]
 
 
 def test_meta_testing_densifies_each_test_task_after_fine_tuning(

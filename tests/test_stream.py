@@ -331,6 +331,44 @@ def test_loading_holds_the_store_plus_one_file(tmp_path):
     assert peak < stored + 80 * 400 * 50
 
 
+def test_loading_one_large_file_holds_the_store_plus_one_block(tmp_path, monkeypatch):
+    # One file of 32 blocks of 100 documents x 50 tokens over 500 words. The
+    # loader may hold the final store plus temporaries of one block: 80
+    # bytes per token of a block allowed. Featurizing the whole file at once
+    # would hold about 54 bytes per token of the file, 8.6 MB here.
+    monkeypatch.setattr("metareplay.stream._BLOCK_DOCS", 100)
+    rng = np.random.default_rng(0)
+    vocabulary = [f"w{i}" for i in range(500)]
+    paths = [_write(tmp_path / "t.tsv",
+                    [" ".join(rng.choice(vocabulary, 50)) for _ in range(3200)])]
+    config = FeaturizerConfig(dim=2**20)
+    load_text_tasks(paths, config)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        split = one_split(load_text_tasks(paths, config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = _store_bytes(split.features) + split.labels.nbytes
+    assert peak < stored + 80 * 100 * 50
+
+
+def test_blocks_store_the_same_bytes_and_dtypes_as_one_block(tmp_path, monkeypatch):
+    # The fourth document's count of 300 needs uint16 counts: the blocks
+    # before it were stored as uint8 and are promoted when it is appended.
+    texts = ["a b a", "c", "", "a " * 300, "b c d"] * 2
+    paths = [_write(tmp_path / "t0.tsv", texts), _write(tmp_path / "t1.tsv", texts[:4])]
+    config = FeaturizerConfig(dim=300, l2_normalize=True)
+    whole = one_split(load_text_tasks(paths, config))
+    monkeypatch.setattr("metareplay.stream._BLOCK_DOCS", 3)
+    blocks = one_split(load_text_tasks(paths, config))
+    for name in ("indptr", "cols", "counts", "norms"):
+        a, b = getattr(whole.features, name), getattr(blocks.features, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert whole.features.counts.dtype == np.uint16
+    assert whole.labels.tobytes() == blocks.labels.tobytes()
+
+
 def test_featurize_normalization_and_truncation(tmp_path):
     cfg = FeaturizerConfig(dim=32, truncate=2, l2_normalize=True)
     vec = _loaded(tmp_path, ["one two three four"], cfg)[0]
