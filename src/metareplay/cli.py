@@ -57,6 +57,59 @@ def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
             raise InputError(f"{path} is in the way: the run writes a regular file there")
 
 
+def _run_cell(model, suite, cfg, seed, order, run_dir: Path, debug_traces):
+    """Train and score one (order, seed) cell and write its files to ``run_dir``.
+
+    Returns (macro accuracy, training seconds). The cell's parameters,
+    memory, trace and gates are freed when it returns, before the next cell
+    trains.
+    """
+    t0 = time.perf_counter()
+    # An overflow or NaN anywhere in training is a numerical failure.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        accs, params, memory, trace, gates = run_learner(
+            model, suite, cfg.learner, seed,
+            stream_order=order, combined_test=cfg.combined_test)
+    elapsed = time.perf_counter() - t0
+
+    # One evaluation event; macro accuracy is the unweighted task mean.
+    record = {
+        "method": cfg.learner.method,
+        "seed": seed,
+        "per_task_accuracy": [float(a) for a in accs],
+        "macro_accuracy": macro_accuracy(accs),
+        "memory_size": len(memory) if memory is not None else 0,
+        "memory_offers": memory.offers if memory is not None else 0,
+        "replay_episodes": trace.replay_episodes,
+        "replay_skips": trace.replay_skips,
+        "violations_per_task": {str(k): v
+                                for k, v in trace.violations_per_task.items()},
+        "flags": {
+            "no_replay": cfg.learner.no_replay,
+            "no_meta_test_finetune": cfg.learner.no_meta_test_finetune,
+            "order": list(order),
+        },
+    }
+    record.update(zip(("gate_mean", "gate_frac_high", "gate_frac_low"),
+                      gate_stats(gates) if gates else (None, None, None)))
+
+    run_dir.mkdir(parents=True, exist_ok=True)
+    emit_metrics([record], run_dir / "metrics.jsonl")
+    if cfg.learner.record_alignment:
+        emit_metrics([{**asdict(s), "cosine": s.cosine} for s in trace.alignment],
+                     run_dir / "alignment.jsonl")
+    if debug_traces:  # MTL has no episodes and no memory: an empty file
+        stored = zip(*memory.stored()) if memory is not None else ()
+        emit_metrics([{"event": "episode", "index": i, "query_source": source,
+                       "support_size": m, "query_size": n}
+                      for i, source, m, n in trace.episodes]
+                     + [{"event": "stored", "task_id": t, "label": y}
+                        for t, y in stored], run_dir / "events.jsonl")
+    if cfg.save_checkpoints:
+        save_checkpoint(run_dir / "checkpoint.npz", params, model.config)
+    return record["macro_accuracy"], elapsed
+
+
 def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False) -> int:
     if seed_override is not None and seed_override < 0:
         raise InputError("--seed must be non-negative")
@@ -75,57 +128,14 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
         raise InputError(f"--out {out_dir} is not a usable directory: {exc.strerror}")
     per_seed_macro = []
     timings = []
-
     for seed in seeds:
         order_macros = []
         for oi, order in enumerate(cfg.orders):
-            t0 = time.perf_counter()
-            # An overflow or NaN anywhere in training is a numerical failure.
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                accs, params, memory, trace, gates = run_learner(
-                    model, suite, cfg.learner, seed,
-                    stream_order=order, combined_test=cfg.combined_test)
-            elapsed = time.perf_counter() - t0
-
-            # One evaluation event; macro accuracy is the unweighted task mean.
-            record = {
-                "method": cfg.learner.method,
-                "seed": seed,
-                "per_task_accuracy": [float(a) for a in accs],
-                "macro_accuracy": macro_accuracy(accs),
-                "memory_size": len(memory) if memory is not None else 0,
-                "memory_offers": memory.offers if memory is not None else 0,
-                "replay_episodes": trace.replay_episodes,
-                "replay_skips": trace.replay_skips,
-                "violations_per_task": {str(k): v
-                                        for k, v in trace.violations_per_task.items()},
-                "flags": {
-                    "no_replay": cfg.learner.no_replay,
-                    "no_meta_test_finetune": cfg.learner.no_meta_test_finetune,
-                    "order": list(order),
-                },
-            }
-            record.update(zip(("gate_mean", "gate_frac_high", "gate_frac_low"),
-                              gate_stats(gates) if gates else (None, None, None)))
-
-            run_dir = out / f"order{oi}_seed{seed}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            emit_metrics([record], run_dir / "metrics.jsonl")
-            if cfg.learner.record_alignment:
-                emit_metrics([{**asdict(s), "cosine": s.cosine} for s in trace.alignment],
-                             run_dir / "alignment.jsonl")
+            macro, elapsed = _run_cell(model, suite, cfg, seed, order,
+                                       out / f"order{oi}_seed{seed}", debug_traces)
             # Wall-clock goes in a sidecar so metrics files stay byte-reproducible.
             timings.append({"order": oi, "seed": seed, "seconds": elapsed})
-            if debug_traces:  # MTL has no episodes and no memory: an empty file
-                stored = zip(*memory.stored()) if memory is not None else ()
-                emit_metrics([{"event": "episode", "index": i, "query_source": source,
-                               "support_size": m, "query_size": n}
-                              for i, source, m, n in trace.episodes]
-                             + [{"event": "stored", "task_id": t, "label": y}
-                                for t, y in stored], run_dir / "events.jsonl")
-            if cfg.save_checkpoints:
-                save_checkpoint(run_dir / "checkpoint.npz", params, model.config)
-            order_macros.append(record["macro_accuracy"])
+            order_macros.append(macro)
         per_seed_macro.append(macro_accuracy(order_macros))
 
     summary = {

@@ -89,9 +89,8 @@ def inner_adapt(model, params, support, alpha: float):
         raise InputError("support must be non-empty")
     adapted = params.clone()
     parts = model.inner_partitions()
-    for batch in support:
-        _, grads = model.loss_and_grad(adapted, batch, parts)
-        sgd_step(adapted, grads, alpha, parts)
+    for batch in support:  # each gradient is freed once the step has consumed it
+        sgd_step(adapted, model.loss_and_grad(adapted, batch, parts)[1], alpha, parts)
     return adapted
 
 
@@ -116,42 +115,51 @@ def _single_pass_setup(model, tasks, config: LearnerConfig, seed: int, stream_or
 
 def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
                       stream_order=None):
-    """Single-pass episodic meta-training over the task stream.
-
-    Per episode: draw the support from the stream; on replay episodes sample
-    the query from memory, otherwise take the next stream batch and offer it
-    to memory; offer the support to memory; adapt; meta-update.
-    """
+    """Single-pass episodic meta-training over the task stream, one
+    ``_meta_episode`` call per episode."""
     params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
                                                        stream_order)
     adam = Adam(params, model.outer_partitions(), config.outer_lr)
-    schedule = config.schedule
-    it = iter(stream)
-    index = 0
-    while True:
+    batches = iter(stream)
+    index = 1
+    while _meta_episode(model, adam, batches, memory, config, trace, index):
         index += 1
-        ep = next_episode(it, memory, schedule, index, allow_replay=not config.no_replay)
-        if ep is None:
-            break
-        if ep.query_source == STREAM and ep.query is not None:
-            memory.write(ep.query)
-        for batch in ep.support:
-            memory.write(batch)
-        if ep.query_source == MEMORY:
-            trace.replay_episodes += 1
-        if ep.replay_skipped:
-            trace.replay_skips += 1
-        if ep.query is not None:
-            adapted = inner_adapt(model, params, ep.support, config.inner_lr)
-            if config.record_alignment and ep.query_source == MEMORY:
-                trace.alignment.append(_support_query_alignment(
-                    model, params, ep, index))
-            meta_outer_step(model, adam, adapted, ep.query)
-            trace.optimizer_steps += 1
-        trace.episodes.append(
-            (ep.index, ep.query_source, len(ep.support),
-             len(ep.query) if ep.query is not None else 0))
     return params, memory, trace
+
+
+def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
+                  trace: TrainingTrace, index: int) -> bool:
+    """Episode ``index`` of meta-training; False once the stream is spent.
+
+    Draw the support from the stream; on replay episodes sample the query
+    from memory, otherwise take the next stream batch and offer it to
+    memory; offer the support to memory; adapt; meta-update. The episode's
+    batches and adapted parameters are freed when it returns, before the
+    next episode draws.
+    """
+    ep = next_episode(batches, memory, config.schedule, index,
+                      allow_replay=not config.no_replay)
+    if ep is None:
+        return False
+    if ep.query_source == STREAM and ep.query is not None:
+        memory.write(ep.query)
+    for batch in ep.support:
+        memory.write(batch)
+    if ep.query_source == MEMORY:
+        trace.replay_episodes += 1
+    if ep.replay_skipped:
+        trace.replay_skips += 1
+    if ep.query is not None:
+        adapted = inner_adapt(model, adam.params, ep.support, config.inner_lr)
+        if config.record_alignment and ep.query_source == MEMORY:
+            trace.alignment.append(_support_query_alignment(
+                model, adam.params, ep, index))
+        meta_outer_step(model, adam, adapted, ep.query)
+        trace.optimizer_steps += 1
+    trace.episodes.append(
+        (ep.index, ep.query_source, len(ep.support),
+         len(ep.query) if ep.query is not None else 0))
+    return True
 
 
 def _support_query_alignment(model, params, ep: Episode, step: int) -> AlignmentSample:
@@ -212,35 +220,11 @@ def train_sequential(model, tasks, config: LearnerConfig, seed: int,
     """
     params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
                                                        stream_order)
-    schedule = config.schedule
-    parts = model.outer_partitions()
-    adam = Adam(params, parts, config.outer_lr)
-    replay = config.method == "REPLAY" and not config.no_replay
-    agem = config.method == "AGEM" and not config.no_replay
-    cadence = schedule.baseline_frequency
-
-    step = 0
-    for batch in stream:
+    adam = Adam(params, model.outer_partitions(), config.outer_lr)
+    batches = iter(stream)
+    step = 1
+    while _baseline_step(model, adam, batches, memory, config, trace, step):
         step += 1
-        _, grads = model.loss_and_grad(params, batch, parts)
-        if agem and step % cadence == 0 and len(memory) > 0:
-            ref_batch = memory.sample(schedule.replay_batch_size)
-            _, g_ref = model.loss_and_grad(params, ref_batch, parts)
-            sample = grad_dot(grads, g_ref, step)
-            trace.alignment.append(sample)
-            grads, violated = agem_project(grads, g_ref)
-            if violated:  # keyed by the task of the batch's first row
-                tid = int(memory.task_ids(batch.rows[:1])[0])
-                trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
-        adam_step(adam, grads)
-        trace.optimizer_steps += 1
-        memory.write(batch)
-        if replay and step % cadence == 0 and len(memory) > 0:
-            replay_batch = memory.sample(schedule.replay_batch_size)
-            _, grads = model.loss_and_grad(params, replay_batch, parts)
-            adam_step(adam, grads)
-            trace.optimizer_steps += 1
-            trace.replay_episodes += 1
     return params, memory, trace
 
 
@@ -249,14 +233,56 @@ def train_mtl(model, tasks, config: LearnerConfig, seed: int):
     rngs = named_rngs(seed)
     params = model.init_params(rngs["init"])
     trace = TrainingTrace()
-    parts = model.outer_partitions()
-    adam = Adam(params, parts, config.outer_lr)
-    for batch in pooled_batches(tasks, config.schedule.batch_size, rngs["mtl"],
-                                epochs=config.epochs):
-        _, grads = model.loss_and_grad(params, batch, parts)
-        adam_step(adam, grads)
-        trace.optimizer_steps += 1
+    adam = Adam(params, model.outer_partitions(), config.outer_lr)
+    batches = pooled_batches(tasks, config.schedule.batch_size, rngs["mtl"],
+                             epochs=config.epochs)
+    step = 1
+    while _baseline_step(model, adam, batches, None, config, trace, step):
+        step += 1
     return params, None, trace
+
+
+def _baseline_step(model, adam: Adam, batches, memory, config: LearnerConfig,
+                   trace: TrainingTrace, step: int) -> bool:
+    """Adam steps on the next batch (step ``step``, 1-based) and, for REPLAY,
+    on a memory sample; False once ``batches`` is spent. ``memory`` is None
+    for MTL. The batch and its gradients are freed when the step returns,
+    before the next batch is drawn."""
+    batch = next(batches, None)
+    if batch is None:
+        return False
+    adam_step(adam, _batch_grads(model, adam.params, batch, memory, config, trace, step))
+    trace.optimizer_steps += 1
+    if memory is None:
+        return True
+    memory.write(batch)
+    schedule = config.schedule
+    if (config.method == "REPLAY" and not config.no_replay
+            and step % schedule.baseline_frequency == 0 and len(memory) > 0):
+        replay_batch = memory.sample(schedule.replay_batch_size)
+        adam_step(adam, model.loss_and_grad(adam.params, replay_batch,
+                                            model.outer_partitions())[1])
+        trace.optimizer_steps += 1
+        trace.replay_episodes += 1
+    return True
+
+
+def _batch_grads(model, params, batch, memory, config: LearnerConfig,
+                 trace: TrainingTrace, step: int) -> np.ndarray:
+    """The gradient of ``batch``; A-GEM projects it against the gradient of
+    a memory sample every ``baseline_frequency`` steps."""
+    schedule, parts = config.schedule, model.outer_partitions()
+    _, grads = model.loss_and_grad(params, batch, parts)
+    if (config.method == "AGEM" and not config.no_replay
+            and step % schedule.baseline_frequency == 0 and len(memory) > 0):
+        ref_batch = memory.sample(schedule.replay_batch_size)
+        _, g_ref = model.loss_and_grad(params, ref_batch, parts)
+        trace.alignment.append(grad_dot(grads, g_ref, step))
+        grads, violated = agem_project(grads, g_ref)
+        if violated:  # keyed by the task of the batch's first row
+            tid = int(memory.task_ids(batch.rows[:1])[0])
+            trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
+    return grads
 
 
 def evaluate_direct(model, params_for, test_tasks):

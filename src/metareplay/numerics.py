@@ -47,7 +47,8 @@ class ParameterSet:
     last, so every partition set a model trains (inner, outer, all) is one
     contiguous slice, its ``span``; a gradient is one vector over a span.
     ``tensors`` maps each name to a reshaped view into ``flat`` and keeps the
-    caller's insertion order, in which checkpoints are written.
+    caller's insertion order, in which checkpoints are written. A clone's
+    ``flat`` ends where the ``NM_FROZEN`` parameters begin (see ``clone``).
     """
 
     def __init__(self, tensors: dict, partitions: dict):
@@ -61,15 +62,15 @@ class ParameterSet:
             slots[name], start = (start, stop, shape), stop
         self.partitions = dict(partitions)
         self._slots = {n: slots[n] for n in tensors}
+        # The length of the trainable prefix of ``flat``: everything before NM_FROZEN.
+        self._trainable = min((slots[n][0] for n in order
+                               if partitions[n] == Partition.NM_FROZEN), default=start)
         self._layouts: dict = {}
         self._all = frozenset(self.partitions.values())
-        self._set_flat(np.empty(start))
+        self.flat = np.empty(start)
+        self.tensors = self.views(self.flat, self._all)
         for name, t in tensors.items():
             self.tensors[name][...] = t
-
-    def _set_flat(self, flat):
-        self.flat = flat
-        self.tensors = self.views(flat, self._all)
 
     def layout(self, parts) -> tuple:
         """(span, {name: (start, stop, shape) relative to the span}) of ``parts``.
@@ -102,13 +103,26 @@ class ParameterSet:
                 for n, (a, b, shape) in self.layout(parts)[1].items()}
 
     def clone(self) -> "ParameterSet":
-        """A copy of the parameter values; inner-loop working copies are clones."""
+        """A copy of the trainable parameters; inner-loop working copies are clones.
+
+        The clone's ``flat`` is a copy of the trainable prefix only, so every
+        trainable span keeps its offsets; its ``NM_FROZEN`` tensors are
+        read-only views of this set's, which no loop writes.
+        """
         twin = object.__new__(ParameterSet)
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
         twin._all = self._all
-        twin._set_flat(self.flat.copy())
+        twin._trainable = n = self._trainable
+        twin.flat = self.flat[:n].copy()
+        twin.tensors = {}
+        for name, (a, b, shape) in self._slots.items():
+            if b <= n:
+                twin.tensors[name] = twin.flat[a:b].reshape(shape)
+            else:
+                twin.tensors[name] = frozen = self.tensors[name].view()
+                frozen.flags.writeable = False
         return twin
 
 
@@ -181,6 +195,9 @@ ADAM_EPS = 1e-8
 
 def _span_and_check(params: ParameterSet, grads: np.ndarray, parts) -> slice:
     span = params.span(parts)
+    if span.stop > params.flat.size:
+        raise InputError(f"partitions {sorted(parts)} run past this set's flat vector: "
+                         "a clone holds no NM_FROZEN parameters")
     if np.shape(grads) != (span.stop - span.start,):
         raise InputError(f"gradient shape {np.shape(grads)} does not match span {span}")
     return span

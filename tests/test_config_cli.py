@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,29 @@ def test_cli_run_writes_metrics_and_summary(tmp_path):
     assert (out / "timing.jsonl").exists()
     # Timing lives in its own file, never inside the metrics records.
     assert "seconds" not in metrics
+
+
+def test_cli_multi_seed_run_holds_one_cell_at_its_training_peak(tmp_path):
+    # At d=2048 an ANML cell's parameters, memory and trace take about 1 MB;
+    # each cell's are freed before the next one trains.
+    config = _minimal("ANML_ER", model={"encoder_dims": [32]},
+                      suite={"num_tasks": 2, "examples_per_class": 20,
+                             "test_per_class": 5, "input_dim": 2048},
+                      schedule={"batch_size": 16, "support_size": 5,
+                                "replay_interval": 160, "replay_rate": 0.1})
+    cfg_path = tmp_path / "config.json"
+
+    def peak(seeds, out):
+        cfg_path.write_text(json.dumps(dict(config, seeds=seeds)))
+        tracemalloc.start()
+        try:
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak([0], "warm-up")  # imports and caches
+    assert peak([0, 1], "two") <= peak([0], "one") + 0.1 * 2**20
 
 
 def test_cli_debug_traces_write_the_episodes_then_the_stored_examples(tmp_path):

@@ -1,5 +1,6 @@
 """Training procedures: meta-gradient properties, baselines, protocols."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -326,6 +327,39 @@ def test_run_results_do_not_depend_on_the_callers_blas_thread_count(method):
         set_(caller)
     assert results[0][2], "no alignment samples were recorded"
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("method", ["OML_ER", "ANML_ER", "SEQ", "MTL"])
+def test_training_at_d2048_holds_the_arrays_of_one_step(method):
+    """The traced peak of a run is bounded by the arrays a step must hold,
+    plus 0.25 MB: the parameters, Adam's moments and work vector, one
+    gradient, one episode of batches (one batch for a baseline) and, for a
+    meta method, one clone of the trainable span. Holding the last step's
+    batches, clone or consumed gradient, or a clone's copy of the frozen NM
+    layer, would exceed it."""
+    dim, b, m = 2048, 16, 5
+    suite = make_synthetic_suite("BALANCED", num_tasks=2, classes_per_task=2,
+                                 examples_per_class=200, input_dim=dim, seed=0,
+                                 test_per_class=10)
+    schedule = ReplaySchedule(batch_size=b, support_size=m, replay_interval=160,
+                              replay_rate=0.1)
+    model = Classifier(ModelConfig(input_dim=dim, encoder_dims=(32,), num_classes=4,
+                                   architecture=architecture_for(method)))
+    cfg = LearnerConfig(method, schedule)
+    run(model, suite, cfg, seed=0)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        run(model, suite, cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = model.init_params(np.random.default_rng(0))
+    trainable = params.span(model.outer_partitions()).stop * 8
+    batch = b * dim * 8
+    held = params.flat.nbytes + 4 * trainable + batch  # Adam's 3 vectors, 1 gradient
+    if method in META_METHODS:  # the clone and the episode's other m batches
+        held += trainable + m * batch
+    assert peak < held + 0.25 * 2**20
 
 
 def test_meta_testing_densifies_each_test_task_after_fine_tuning(

@@ -362,3 +362,34 @@ def test_clone_copies_one_buffer():
     np.testing.assert_array_equal(twin.flat[params.span({Partition.HEAD})][:2],
                                   params.tensors["head.W"].ravel()[:2] + 1.0)
     assert list(twin.tensors) == list(params.tensors)
+
+
+def test_clone_copies_the_trainable_span_and_shares_frozen_tensors_read_only():
+    clf, params = _anml_params()
+    twin = params.clone()
+    trainable = params.span(set(Partition) - {Partition.NM_FROZEN})
+    assert trainable.start == 0 and twin.flat.size == trainable.stop < params.flat.size
+    for name, part in params.partitions.items():
+        tensor = twin.tensors[name]
+        np.testing.assert_array_equal(tensor, params.tensors[name])
+        if part == Partition.NM_FROZEN:
+            assert np.shares_memory(tensor, params.flat)
+            with pytest.raises(ValueError, match="read-only"):
+                tensor += 1.0
+        else:
+            assert not np.shares_memory(tensor, params.flat)
+            assert np.shares_memory(tensor, twin.flat)
+    frozen = {Partition.NM_FROZEN}
+    grads = np.ones(params.span(frozen).stop - params.span(frozen).start)
+    with pytest.raises(InputError, match="past"):
+        sgd_step(twin, grads, 0.1, frozen)
+    with pytest.raises(InputError, match="past"):
+        grad_check(twin, lambda p: 0.0, grads, frozen)
+    # Every trainable partition set steps the clone as it steps the source.
+    for parts in (clf.inner_partitions(), clf.outer_partitions()):
+        span = params.span(parts)
+        g = RNG.standard_normal(span.stop - span.start)
+        stepped = sgd_step(params.clone(), g.copy(), 0.1, parts).flat
+        expected = params.flat.copy()
+        expected[span] -= 0.1 * g
+        np.testing.assert_array_equal(stepped, expected[:trainable.stop])
