@@ -17,7 +17,7 @@ import argparse
 import numpy as np
 
 from metareplay import LearnerConfig, ReplaySchedule, make_synthetic_suite
-from metareplay.learners import run_meta_training, train_sequential
+from metareplay.learners import train
 from metareplay.model import Classifier, ModelConfig
 
 
@@ -35,7 +35,7 @@ def main():
     model = Classifier(ModelConfig(input_dim=10, encoder_dims=(32,), num_classes=10))
     cfg = LearnerConfig("OML_ER", schedule, inner_lr=0.05, outer_lr=0.025,
                         record_alignment=True)
-    _, _, trace = run_meta_training(model, suite.train, cfg, seed=args.seed)
+    _, _, trace = train(model, suite.train, cfg, seed=args.seed)
     print("meta-training support/query alignment on memory episodes:")
     for s in trace.alignment:
         tag = "transfer" if s.dot > 0 else "interference"
@@ -44,7 +44,7 @@ def main():
     print(f"  mean cosine {np.mean(cosines):+.3f} over {len(cosines)} replay episodes")
 
     cfg = LearnerConfig("AGEM", schedule, outer_lr=0.01)
-    _, _, trace = train_sequential(model, suite.train, cfg, seed=args.seed)
+    _, _, trace = train(model, suite.train, cfg, seed=args.seed)
     neg = sum(1 for s in trace.alignment if s.dot < 0)
     print(f"\nA-GEM reference checks: {len(trace.alignment)} cadence steps, "
           f"{neg} conflicts projected away")

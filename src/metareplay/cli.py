@@ -30,6 +30,7 @@ from .stream import Batch
 
 # Batches drawn per grad-check trial before its --eps is declared unmeetable.
 MAX_GRAD_CHECK_DRAWS = 1000
+GRAD_CHECK_TOLERANCE = 1e-5  # grad-check passes below this max relative error
 
 
 def emit_metrics(records, path: Path) -> None:
@@ -39,12 +40,16 @@ def emit_metrics(records, path: Path) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _cell_files(cfg, debug_traces) -> list:
+    """Names of the files a cell writes to its directory, in writing order."""
+    return (["metrics.jsonl"] + ["alignment.jsonl"] * cfg.learner.record_alignment
+            + ["events.jsonl"] * debug_traces + ["checkpoint.npz"] * cfg.save_checkpoints)
+
+
 def _check_outputs_are_free(out: Path, cfg, seeds, debug_traces) -> None:
     """Raise an InputError naming the first entry under ``out`` that is in
     the way of a directory or file the run writes."""
-    names = ["metrics.jsonl"] + ["alignment.jsonl"] * cfg.learner.record_alignment
-    names += ["events.jsonl"] * debug_traces
-    names += ["checkpoint.npz"] * cfg.save_checkpoints
+    names = _cell_files(cfg, debug_traces)
     files = [out / "config.json", out / "summary.jsonl", out / "timing.jsonl"]
     for seed in seeds:
         for oi in range(len(cfg.orders)):
@@ -82,8 +87,7 @@ def _run_cell(model, suite, cfg, seed, order, run_dir: Path, debug_traces):
         "memory_offers": memory.offers if memory is not None else 0,
         "replay_episodes": trace.replay_episodes,
         "replay_skips": trace.replay_skips,
-        "violations_per_task": {str(k): v
-                                for k, v in trace.violations_per_task.items()},
+        "violations_per_task": {str(k): v for k, v in trace.violations_per_task.items()},
         "flags": {
             "no_replay": cfg.learner.no_replay,
             "no_meta_test_finetune": cfg.learner.no_meta_test_finetune,
@@ -93,20 +97,20 @@ def _run_cell(model, suite, cfg, seed, order, run_dir: Path, debug_traces):
     record.update(zip(("gate_mean", "gate_frac_high", "gate_frac_low"),
                       gate_stats(gates) if gates else (None, None, None)))
 
+    write = {
+        "metrics.jsonl": lambda path: emit_metrics([record], path),
+        "alignment.jsonl": lambda path: emit_metrics(
+            [{**asdict(s), "cosine": s.cosine} for s in trace.alignment], path),
+        "events.jsonl": lambda path: emit_metrics(  # MTL: no episodes, no memory, no records
+            [{"event": "episode", "index": i, "query_source": source, "support_size": m,
+              "query_size": n} for i, source, m, n in trace.episodes]
+            + [{"event": "stored", "task_id": t, "label": y}
+               for t, y in zip(*(memory.stored() if memory is not None else ()))], path),
+        "checkpoint.npz": lambda path: save_checkpoint(path, params, model.config),
+    }
     run_dir.mkdir(parents=True, exist_ok=True)
-    emit_metrics([record], run_dir / "metrics.jsonl")
-    if cfg.learner.record_alignment:
-        emit_metrics([{**asdict(s), "cosine": s.cosine} for s in trace.alignment],
-                     run_dir / "alignment.jsonl")
-    if debug_traces:  # MTL has no episodes and no memory: an empty file
-        stored = zip(*memory.stored()) if memory is not None else ()
-        emit_metrics([{"event": "episode", "index": i, "query_source": source,
-                       "support_size": m, "query_size": n}
-                      for i, source, m, n in trace.episodes]
-                     + [{"event": "stored", "task_id": t, "label": y}
-                        for t, y in stored], run_dir / "events.jsonl")
-    if cfg.save_checkpoints:
-        save_checkpoint(run_dir / "checkpoint.npz", params, model.config)
+    for name in _cell_files(cfg, debug_traces):
+        write[name](run_dir / name)
     return record["macro_accuracy"], elapsed
 
 
@@ -263,7 +267,11 @@ def main(argv=None) -> int:
             return 0
         if args.command == "grad-check":
             worst = run_grad_check_suite(args.trials, args.seed, args.eps)
-            return 0 if worst < 1e-5 else 1
+            if worst < GRAD_CHECK_TOLERANCE:
+                return 0
+            print(f"numerical error: grad-check max relative error {worst:.3e} is not "
+                  f"below the tolerance {GRAD_CHECK_TOLERANCE:g}", file=sys.stderr)
+            return 3
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

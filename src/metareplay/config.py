@@ -180,6 +180,8 @@ def parse_config(raw: dict) -> RunConfig:
     if not cfg["seeds"] or min(cfg["seeds"]) < 0:
         raise InputError("seeds must be a non-empty list of non-negative integers")
     _reject_repeats("seeds", cfg["seeds"])
+    if cfg["orders"] == []:  # null, not [], asks for the identity order
+        raise InputError("orders must be a non-empty list of task orders, or null")
     if has_suite and suite_spec["test_per_class"] < 1:
         raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
     if has_suite and suite_spec["examples_per_class"] < 1:

@@ -4,11 +4,13 @@ Meta methods (OML-ER, ANML-ER, MAML-ER) train in episodes: the inner loop
 takes one SGD step per support batch on the adapted partitions; the outer
 loop computes first-order meta-gradients at the adapted parameters and
 applies them to the original parameters with Adam. Baselines (SEQ, REPLAY,
-A-GEM, MTL) take one Adam step per batch.
+A-GEM, MTL) take one Adam step per batch. ``train`` runs every method as one
+step function over one batch stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +23,7 @@ from .memory import EpisodicMemory
 from .model import Classifier, score_accuracy
 from .numerics import Adam, InputError, adam_step, sgd_step
 from .rngs import named_rngs
-from .stream import BatchStream, one_split, pooled_batches
+from .stream import BatchStream, one_split
 
 META_METHODS = ("OML_ER", "ANML_ER", "MAML_ER")
 BASELINE_METHODS = ("SEQ", "REPLAY", "AGEM", "MTL")
@@ -102,31 +104,6 @@ def meta_outer_step(model, adam: Adam, adapted, query) -> float:
     return loss
 
 
-def _single_pass_setup(model, tasks, config: LearnerConfig, seed: int, stream_order):
-    """Initial parameters, stream, memory and trace of a single-pass continual run."""
-    rngs = named_rngs(seed)
-    params = model.init_params(rngs["init"])
-    order = range(len(tasks)) if stream_order is None else stream_order
-    stream = BatchStream(tasks, order, config.schedule.batch_size, rngs["stream"])
-    memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"],
-                            rngs["memory_sample"])
-    return params, stream, memory, TrainingTrace()
-
-
-def run_meta_training(model, tasks, config: LearnerConfig, seed: int,
-                      stream_order=None):
-    """Single-pass episodic meta-training over the task stream, one
-    ``_meta_episode`` call per episode."""
-    params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
-                                                       stream_order)
-    adam = Adam(params, model.outer_partitions(), config.outer_lr)
-    batches = iter(stream)
-    index = 1
-    while _meta_episode(model, adam, batches, memory, config, trace, index):
-        index += 1
-    return params, memory, trace
-
-
 def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
                   trace: TrainingTrace, index: int) -> bool:
     """Episode ``index`` of meta-training; False once the stream is spent.
@@ -145,20 +122,15 @@ def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
         memory.write(ep.query)
     for batch in ep.support:
         memory.write(batch)
-    if ep.query_source == MEMORY:
-        trace.replay_episodes += 1
-    if ep.replay_skipped:
-        trace.replay_skips += 1
+    trace.replay_episodes += ep.query_source == MEMORY
+    trace.replay_skips += ep.replay_skipped
     if ep.query is not None:
         adapted = inner_adapt(model, adam.params, ep.support, config.inner_lr)
         if config.record_alignment and ep.query_source == MEMORY:
-            trace.alignment.append(_support_query_alignment(
-                model, adam.params, ep, index))
+            trace.alignment.append(_support_query_alignment(model, adam.params, ep, index))
         meta_outer_step(model, adam, adapted, ep.query)
-        trace.optimizer_steps += 1
-    trace.episodes.append(
-        (ep.index, ep.query_source, len(ep.support),
-         len(ep.query) if ep.query is not None else 0))
+    trace.episodes.append((ep.index, ep.query_source, len(ep.support),
+                           len(ep.query) if ep.query is not None else 0))
     return True
 
 
@@ -210,49 +182,19 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray):
     return g - (dot / ref_sq) * g_ref, True
 
 
-def train_sequential(model, tasks, config: LearnerConfig, seed: int,
-                     stream_order=None):
-    """SEQ / REPLAY / A-GEM: one Adam step per stream batch, single pass.
-
-    REPLAY performs one extra gradient update on floor(r*R_I) memory samples
-    every ceil(R_I/b) steps. A-GEM instead uses such a sample as a reference
-    gradient and projects the current gradient when they conflict.
-    """
-    params, stream, memory, trace = _single_pass_setup(model, tasks, config, seed,
-                                                       stream_order)
-    adam = Adam(params, model.outer_partitions(), config.outer_lr)
-    batches = iter(stream)
-    step = 1
-    while _baseline_step(model, adam, batches, memory, config, trace, step):
-        step += 1
-    return params, memory, trace
-
-
-def train_mtl(model, tasks, config: LearnerConfig, seed: int):
-    """Multi-task upper bound: i.i.d. pooled batches for several epochs."""
-    rngs = named_rngs(seed)
-    params = model.init_params(rngs["init"])
-    trace = TrainingTrace()
-    adam = Adam(params, model.outer_partitions(), config.outer_lr)
-    batches = pooled_batches(tasks, config.schedule.batch_size, rngs["mtl"],
-                             epochs=config.epochs)
-    step = 1
-    while _baseline_step(model, adam, batches, None, config, trace, step):
-        step += 1
-    return params, None, trace
-
-
 def _baseline_step(model, adam: Adam, batches, memory, config: LearnerConfig,
                    trace: TrainingTrace, step: int) -> bool:
-    """Adam steps on the next batch (step ``step``, 1-based) and, for REPLAY,
-    on a memory sample; False once ``batches`` is spent. ``memory`` is None
+    """Baseline step ``step`` (1-based): an Adam step on the next batch; False
+    once ``batches`` is spent. Every ceil(R_I/b) steps, REPLAY takes one more
+    Adam step on floor(r*R_I) memory samples, and A-GEM projects the batch
+    gradient against such a sample's when they conflict. ``memory`` is None
     for MTL. The batch and its gradients are freed when the step returns,
-    before the next batch is drawn."""
+    before the next batch is drawn.
+    """
     batch = next(batches, None)
     if batch is None:
         return False
     adam_step(adam, _batch_grads(model, adam.params, batch, memory, config, trace, step))
-    trace.optimizer_steps += 1
     if memory is None:
         return True
     memory.write(batch)
@@ -262,7 +204,6 @@ def _baseline_step(model, adam: Adam, batches, memory, config: LearnerConfig,
         replay_batch = memory.sample(schedule.replay_batch_size)
         adam_step(adam, model.loss_and_grad(adam.params, replay_batch,
                                             model.outer_partitions())[1])
-        trace.optimizer_steps += 1
         trace.replay_episodes += 1
     return True
 
@@ -302,8 +243,35 @@ def evaluate_direct(model, params_for, test_tasks):
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Training loop and dispatch
 # ---------------------------------------------------------------------------
+
+def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
+    """Train with the configured method; returns (params, memory, trace).
+
+    Continual methods make one pass over the tasks in ``stream_order``; MTL
+    makes ``config.epochs`` passes over i.i.d. batches of the pooled split
+    and keeps no memory. Each episode or baseline step is one
+    ``_meta_episode`` or ``_baseline_step`` call, until the stream is spent.
+    """
+    rngs = named_rngs(seed)
+    params = model.init_params(rngs["init"])
+    b = config.schedule.batch_size
+    if config.method == "MTL":
+        stream, memory = BatchStream([one_split(tasks)], (0,), b, rngs["mtl"]), None
+    else:
+        order = range(len(tasks)) if stream_order is None else stream_order
+        stream = BatchStream(tasks, order, b, rngs["stream"])
+        memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"], rngs["memory_sample"])
+    batches = itertools.chain.from_iterable(itertools.repeat(stream, config.epochs))
+    adam, trace = Adam(params, model.outer_partitions(), config.outer_lr), TrainingTrace()
+    step = _meta_episode if config.method in META_METHODS else _baseline_step
+    index = 1
+    while step(model, adam, batches, memory, config, trace, index):
+        index += 1
+    trace.optimizer_steps = adam.t
+    return params, memory, trace
+
 
 def run(model: Classifier, suite, config: LearnerConfig, seed: int,
         stream_order=None, combined_test: bool = False):
@@ -317,14 +285,7 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
     with one_blas_thread():
-        if config.method in META_METHODS:
-            params, memory, trace = run_meta_training(model, suite.train, config, seed,
-                                                      stream_order)
-        elif config.method == "MTL":
-            params, memory, trace = train_mtl(model, suite.train, config, seed)
-        else:
-            params, memory, trace = train_sequential(model, suite.train, config, seed,
-                                                     stream_order)
+        params, memory, trace = train(model, suite.train, config, seed, stream_order)
         if config.method in META_METHODS:
             accs, gates = run_meta_testing(model, params, memory, test, config)
         else:

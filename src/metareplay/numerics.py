@@ -277,6 +277,7 @@ def grad_check(params: ParameterSet, loss_fn, grads: np.ndarray, parts,
 
     ``loss_fn(params)`` must return a scalar loss; ``grads`` is the analytic
     gradient over the span of ``parts``. Every entry in the span is perturbed.
+    A non-finite gradient entry or finite difference scores ``math.inf``.
     """
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -290,6 +291,8 @@ def grad_check(params: ParameterSet, loss_fn, grads: np.ndarray, parts,
         lo_lo = loss_fn(params)
         p[i] = orig
         fd = (lo_hi - lo_lo) / (2.0 * eps)
+        if not (math.isfinite(a) and math.isfinite(fd)):
+            return math.inf
         rel = abs(a - fd) / max(abs(a), abs(fd), 1e-12)
         worst = max(worst, rel)
     return worst

@@ -259,15 +259,6 @@ class BatchStream:
                 yield take(rows[start : start + b])
 
 
-def pooled_batches(tasks, batch_size: int, rng: np.random.Generator, epochs: int = 1):
-    """I.i.d. batches from the pool of all tasks, reshuffled every epoch (MTL).
-
-    The tasks must cover one split; each epoch streams it as a single task."""
-    stream = BatchStream([one_split(tasks)], (0,), batch_size, rng)
-    for _ in range(epochs):
-        yield from stream
-
-
 # ---------------------------------------------------------------------------
 # Synthetic suites
 # ---------------------------------------------------------------------------

@@ -257,14 +257,14 @@ def test_criterion_9_determinism(tmp_path):
 
 
 def test_criterion_10_memory_protocol_fidelity():
-    from metareplay.learners import run_meta_training
+    from metareplay.learners import train
     from metareplay.rngs import named_rngs
     from metareplay.stream import BatchStream
 
     suite = _suite("BALANCED")
     clf = Classifier(ModelConfig(input_dim=DIM, encoder_dims=ENCODER, num_classes=10))
     cfg = LearnerConfig("OML_ER", SCHEDULE, **META_LR)
-    _, memory, trace = run_meta_training(clf, suite.train, cfg, seed=0)
+    _, memory, trace = train(clf, suite.train, cfg, seed=0)
 
     # Independent counter: replay the stream's batch sizes and walk the
     # episode protocol without touching the learner's bookkeeping.

@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry points."""
 
+import io
 import json
 import math
 import os
@@ -73,6 +74,12 @@ def test_orders_must_be_permutations():
         parse_config(_minimal(orders=[[0, 1, 1]]))
     rc = parse_config(_minimal(orders=[[2, 0, 1], [0, 1, 2]]))
     assert rc.orders == [[2, 0, 1], [0, 1, 2]]
+
+
+def test_empty_orders_list_is_rejected():
+    with pytest.raises(InputError, match="orders must be a non-empty list"):
+        parse_config(_minimal(orders=[]))
+    assert parse_config(_minimal(orders=None)).orders == [[0, 1, 2]]
 
 
 def test_architecture_follows_method():
@@ -433,6 +440,31 @@ def test_cli_negative_seed_argument_exits_2(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_grad_check_suite_fails_a_nan_gradient_in_one_trial(monkeypatch):
+    from metareplay import cli
+    check, calls = cli.grad_check, []
+
+    def nan_in_second_trial(params, loss_fn, grads, parts, eps):
+        calls.append(grads)
+        if len(calls) == 2:
+            grads = grads.copy()
+            grads[0] = np.nan
+        return check(params, loss_fn, grads, parts, eps=eps)
+
+    monkeypatch.setattr(cli, "grad_check", nan_in_second_trial)
+    assert run_grad_check_suite(trials=3, file=io.StringIO()) == math.inf
+    assert len(calls) == 3
+
+
+def test_grad_check_failure_exits_3(monkeypatch, capsys):
+    from metareplay import cli
+    monkeypatch.setattr(cli, "grad_check", lambda *args, **kw: math.inf)
+    assert main(["grad-check", "--trials", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical error: grad-check max relative error inf" in captured.err
+    assert "tolerance 1e-05" in captured.err and "Traceback" not in captured.err
+
+
 def test_grad_check_negative_seed_exits_2(capsys):
     assert main(["grad-check", "--trials", "1", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
@@ -577,6 +609,11 @@ def test_cli_config_from_a_pipe_runs_and_is_copied_unchanged(tmp_path):
 def test_cli_repeated_seed_or_order_exits_2(tmp_path, capsys, over, message):
     _run_exits_2_and_writes_nothing(tmp_path, _cli_config(tmp_path, **over))
     assert message in capsys.readouterr().err
+
+
+def test_cli_empty_orders_exits_2(tmp_path, capsys):
+    _run_exits_2_and_writes_nothing(tmp_path, _cli_config(tmp_path, orders=[]))
+    assert "orders must be a non-empty list" in capsys.readouterr().err
 
 
 def test_cli_config_inside_its_out_directory_runs(tmp_path):

@@ -17,9 +17,7 @@ from metareplay.learners import (
     architecture_for,
     inner_adapt,
     run,
-    run_meta_training,
-    train_mtl,
-    train_sequential,
+    train,
 )
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
@@ -160,7 +158,7 @@ def _clf(dim=6, classes=6, arch="OML"):
 
 def test_meta_training_offers_every_stream_example_once(small_suite, small_schedule):
     cfg = LearnerConfig("OML_ER", small_schedule, inner_lr=0.01, outer_lr=0.01)
-    params, memory, trace = run_meta_training(_clf(), small_suite.train, cfg, seed=0)
+    params, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
     total = sum(t.size for t in small_suite.train)
     assert memory.offers == total
     assert len(memory) == total  # p_write=1 admits everything
@@ -169,29 +167,29 @@ def test_meta_training_offers_every_stream_example_once(small_suite, small_sched
 
 def test_no_replay_disables_memory_queries(small_suite, small_schedule):
     cfg = LearnerConfig("OML_ER", small_schedule, no_replay=True)
-    _, memory, trace = run_meta_training(_clf(), small_suite.train, cfg, seed=0)
+    _, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
     assert trace.replay_episodes == 0
     assert len(memory) == sum(t.size for t in small_suite.train)
 
 
 def test_meta_training_is_seed_deterministic(small_suite, small_schedule):
     cfg = LearnerConfig("OML_ER", small_schedule, inner_lr=0.02, outer_lr=0.02)
-    p1, _, _ = run_meta_training(_clf(), small_suite.train, cfg, seed=3)
-    p2, _, _ = run_meta_training(_clf(), small_suite.train, cfg, seed=3)
+    p1, _, _ = train(_clf(), small_suite.train, cfg, seed=3)
+    p2, _, _ = train(_clf(), small_suite.train, cfg, seed=3)
     for name in p1.tensors:
         np.testing.assert_array_equal(p1.tensors[name], p2.tensors[name])
 
 
 def test_stream_order_changes_training(small_suite, small_schedule):
     cfg = LearnerConfig("OML_ER", small_schedule)
-    p1, _, _ = run_meta_training(_clf(), small_suite.train, cfg, 0, stream_order=(0, 1, 2))
-    p2, _, _ = run_meta_training(_clf(), small_suite.train, cfg, 0, stream_order=(2, 1, 0))
+    p1, _, _ = train(_clf(), small_suite.train, cfg, 0, stream_order=(0, 1, 2))
+    p2, _, _ = train(_clf(), small_suite.train, cfg, 0, stream_order=(2, 1, 0))
     assert any(not np.array_equal(p1.tensors[n], p2.tensors[n]) for n in p1.tensors)
 
 
 def test_replay_baseline_cadence(small_suite, small_schedule):
     cfg = LearnerConfig("REPLAY", small_schedule, outer_lr=0.01)
-    _, memory, trace = train_sequential(_clf(), small_suite.train, cfg, seed=0)
+    _, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
     n_batches = sum(-(-t.size // small_schedule.batch_size) for t in small_suite.train)
     cadence = small_schedule.baseline_frequency
     expected_replays = n_batches // cadence
@@ -201,7 +199,7 @@ def test_replay_baseline_cadence(small_suite, small_schedule):
 
 def test_seq_takes_one_step_per_batch(small_suite, small_schedule):
     cfg = LearnerConfig("SEQ", small_schedule, outer_lr=0.01)
-    _, memory, trace = train_sequential(_clf(), small_suite.train, cfg, seed=0)
+    _, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
     n_batches = sum(-(-t.size // small_schedule.batch_size) for t in small_suite.train)
     assert trace.optimizer_steps == n_batches
     assert trace.replay_episodes == 0
@@ -210,18 +208,38 @@ def test_seq_takes_one_step_per_batch(small_suite, small_schedule):
 
 def test_agem_counts_violations_consistently(small_suite, small_schedule):
     cfg = LearnerConfig("AGEM", small_schedule, outer_lr=0.05)
-    _, _, trace = train_sequential(_clf(), small_suite.train, cfg, seed=1)
+    _, _, trace = train(_clf(), small_suite.train, cfg, seed=1)
     negatives = sum(1 for s in trace.alignment if s.dot < 0)
     assert sum(trace.violations_per_task.values()) == negatives
 
 
 def test_mtl_step_count_scales_with_epochs(small_suite, small_schedule):
     cfg = LearnerConfig("MTL", small_schedule, outer_lr=0.01, epochs=2)
-    _, memory, trace = train_mtl(_clf(), small_suite.train, cfg, seed=0)
+    _, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
     total = sum(t.size for t in small_suite.train)
     per_epoch = -(-total // small_schedule.batch_size)
     assert trace.optimizer_steps == 2 * per_epoch
     assert memory is None
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_optimizer_steps_count_every_adam_step(method, small_suite, small_schedule):
+    epochs = 2 if method == "MTL" else 1
+    cfg = LearnerConfig(method, small_schedule, inner_lr=0.01, outer_lr=0.01, epochs=epochs)
+    _, _, trace = train(_clf(arch=architecture_for(method)), small_suite.train, cfg, seed=0)
+    b = small_schedule.batch_size
+    n_batches = sum(-(-t.size // b) for t in small_suite.train)
+    if method in META_METHODS:  # one outer step per episode that has a query
+        expected = sum(1 for *_, query_size in trace.episodes if query_size > 0)
+    elif method == "REPLAY":  # one more step per replay
+        assert trace.replay_episodes > 0
+        expected = n_batches + trace.replay_episodes
+    elif method == "MTL":  # every epoch streams the pooled split once
+        expected = epochs * -(-sum(t.size for t in small_suite.train) // b)
+    else:
+        expected = n_batches
+    assert expected > 0
+    assert trace.optimizer_steps == expected
 
 
 def test_mtl_learns_separable_suite(small_suite, small_schedule):
@@ -373,7 +391,7 @@ def test_meta_testing_densifies_each_test_task_after_fine_tuning(
                         lambda task: calls.append("densify") or densify(task))
     cfg = LearnerConfig("OML_ER", small_schedule, inner_lr=0.01, outer_lr=0.01,
                         no_replay=True)
-    params, memory, _ = run_meta_training(_clf(), small_suite.train, cfg, seed=0)
+    params, memory, _ = train(_clf(), small_suite.train, cfg, seed=0)
     calls.clear()
     learners.run_meta_testing(_clf(), params, memory, small_suite.test, cfg)
     assert calls == ["adapt", "densify"] * len(small_suite.test)

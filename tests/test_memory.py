@@ -9,7 +9,7 @@ from scipy import stats
 from metareplay.memory import EpisodicMemory
 from metareplay.numerics import InputError
 from metareplay.episodes import ReplaySchedule
-from metareplay.learners import LearnerConfig, run_meta_training, train_sequential
+from metareplay.learners import LearnerConfig, train
 from metareplay.model import Classifier, ModelConfig
 from metareplay.stream import Batch, TaskSpec, make_synthetic_suite, split_tasks
 
@@ -291,7 +291,6 @@ def test_memory_bytes_do_not_depend_on_feature_width(method):
         suite = make_synthetic_suite("BALANCED", num_tasks=3, classes_per_task=2,
                                      examples_per_class=30, input_dim=dim, seed=0)
         model = Classifier(ModelConfig(input_dim=dim, encoder_dims=(8,), num_classes=6))
-        train = run_meta_training if method == "OML_ER" else train_sequential
         _, memory, _ = train(model, suite.train, config, seed=0)
         assert len(memory) > 0
         assert memory.offers == memory.capacity == sum(t.size for t in suite.train)

@@ -1,5 +1,7 @@
 """Layer primitives, losses, and optimizers against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,17 @@ def test_grad_check_accepts_true_gradient_and_rejects_wrong_one():
     good = A @ params.tensors["p"]
     assert grad_check(params, loss, good, HEAD, eps=1e-5) < 1e-8
     assert grad_check(params, loss, good + 0.1, HEAD, eps=1e-5) > 1e-3
+
+
+def test_grad_check_fails_a_non_finite_gradient_or_difference():
+    params = _param(np.array([1.0, 2.0]))
+
+    def loss(p):  # w^2 / 2, so the true gradient is w
+        return float(0.5 * p.tensors["p"] @ p.tensors["p"])
+
+    assert grad_check(params, loss, np.array([np.nan, 2.0]), HEAD, eps=1e-5) == math.inf
+    assert grad_check(params, loss, np.array([1.0, np.inf]), HEAD, eps=1e-5) == math.inf
+    assert grad_check(params, lambda p: math.nan, np.array([1.0, 2.0]), HEAD) == math.inf
 
 
 def test_parameter_set_requires_matching_partitions():

@@ -22,7 +22,6 @@ from metareplay.stream import (
     load_text_tasks,
     make_synthetic_suite,
     one_split,
-    pooled_batches,
     split_tasks,
 )
 
@@ -112,9 +111,15 @@ def test_take_records_rows_and_full_batch_is_a_read_only_view():
     task.features[0, 0] = 1.0  # the task's own arrays stay writable
 
 
-def test_pooled_batches_cover_pool_each_epoch():
+def _pooled_epochs(tasks, batch_size, rng, epochs):
+    """MTL's batches: the pooled split streamed as one task, one pass per epoch."""
+    stream = BatchStream([one_split(tasks)], (0,), batch_size, rng)
+    return [batch for _ in range(epochs) for batch in stream]
+
+
+def test_pooled_split_stream_covers_pool_each_epoch():
     tasks = _tasks([10, 6])
-    batches = list(pooled_batches(tasks, 4, np.random.default_rng(0), epochs=2))
+    batches = _pooled_epochs(tasks, 4, np.random.default_rng(0), epochs=2)
     assert sum(len(b) for b in batches) == 32
     # A pooled batch may mix tasks; find at least one mixed batch.
     assert any(len(np.unique(b.labels)) > 1 for b in batches)
@@ -253,7 +258,7 @@ def _check_read_paths(tmp_path, texts):
         for k in (5, n, n + 3):
             sample = memory.sample(k)
             np.testing.assert_array_equal(sample.features, want[sample.labels])
-        for batch in pooled_batches(tasks, 16, np.random.default_rng(3), epochs=2):
+        for batch in _pooled_epochs(tasks, 16, np.random.default_rng(3), epochs=2):
             np.testing.assert_array_equal(batch.features, want[batch.labels])
 
         features = split.features
