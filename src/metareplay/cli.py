@@ -101,9 +101,10 @@ def _run_cell(model, suite, cfg, seed, order, run_dir: Path, debug_traces):
         "metrics.jsonl": lambda path: emit_metrics([record], path),
         "alignment.jsonl": lambda path: emit_metrics(
             [{**asdict(s), "cosine": s.cosine} for s in trace.alignment], path),
-        "events.jsonl": lambda path: emit_metrics(  # MTL: no episodes, no memory, no records
-            [{"event": "episode", "index": i, "query_source": source, "support_size": m,
-              "query_size": n} for i, source, m, n in trace.episodes]
+        "events.jsonl": lambda path: emit_metrics(  # MTL: no episodes and no memory, no events
+            [{"event": "episode", "index": i, "query_source": s.source,
+              "support_size": s.support, "query_size": s.examples}
+             for i, s in enumerate(trace.steps, 1) if s.source is not None]
             + [{"event": "stored", "task_id": t, "label": y}
                for t, y in zip(*(memory.stored() if memory is not None else ()))], path),
         "checkpoint.npz": lambda path: save_checkpoint(path, params, model.config),

@@ -74,7 +74,6 @@ class Episode:
     batch), in which case the outer update is skipped.
     """
 
-    index: int
     support: list
     query: object | None
     query_source: str
@@ -97,12 +96,12 @@ def next_episode(stream_iter, memory, schedule: ReplaySchedule, index: int,
     replay_due = allow_replay and index % schedule.frequency == 0
     if replay_due and len(memory) > 0:
         query = memory.sample(schedule.replay_batch_size)
-        return Episode(index, support, query, MEMORY)
+        return Episode(support, query, MEMORY)
 
     query = next(stream_iter, None)
     if query is None and len(support) >= 2:
         query = support.pop()
-    return Episode(index, support, query, STREAM, replay_skipped=replay_due)
+    return Episode(support, query, STREAM, replay_skipped=replay_due)
 
 
 def meta_test_episode(memory, support_size: int, batch_size: int) -> list:

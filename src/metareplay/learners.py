@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .blas import one_blas_thread
 from .diagnostics import AlignmentSample, grad_dot
-from .episodes import MEMORY, STREAM, Episode, ReplaySchedule, meta_test_episode, next_episode
+from .episodes import MEMORY, Episode, ReplaySchedule, meta_test_episode, next_episode
 from .memory import EpisodicMemory
 from .model import Classifier, score_accuracy
 from .numerics import Adam, InputError, adam_step, sgd_step
@@ -65,16 +67,29 @@ class LearnerConfig:
                              "samples from it (set ablations.no_meta_test_finetune)")
 
 
-@dataclass
-class TrainingTrace:
-    """Per-run bookkeeping used by diagnostics and protocol tests."""
+class StepRecord(NamedTuple):
+    """What one training step did: a meta episode, whose ``source`` is where
+    its query came from, or a baseline step (``source`` None)."""
 
-    episodes: list = field(default_factory=list)  # (index, source, n_support, n_query)
-    replay_episodes: int = 0
-    replay_skips: int = 0
-    optimizer_steps: int = 0
-    alignment: list = field(default_factory=list)
-    violations_per_task: dict = field(default_factory=dict)
+    source: str | None
+    support: int            # support batches (0 for a baseline step)
+    examples: int           # query examples (0: no query, no update), or the batch's
+    replayed: bool = False  # a memory query, or REPLAY's step on a memory sample
+    skipped: bool = False   # a replay was due but memory was empty
+    alignment: AlignmentSample | None = None
+    violated: int | None = None  # A-GEM: task of a batch whose gradient was projected
+
+
+@dataclass(frozen=True)
+class TrainingTrace:
+    """A run's step records, in order, reduced once to what its outputs read."""
+
+    steps: list
+    replay_episodes: int
+    replay_skips: int
+    optimizer_steps: int
+    alignment: list
+    violations_per_task: dict
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +120,8 @@ def meta_outer_step(model, adam: Adam, adapted, query) -> float:
 
 
 def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
-                  trace: TrainingTrace, index: int) -> bool:
-    """Episode ``index`` of meta-training; False once the stream is spent.
+                  index: int) -> StepRecord | None:
+    """Episode ``index`` of meta-training; None once the stream is spent.
 
     Draw the support from the stream; on replay episodes sample the query
     from memory, otherwise take the next stream batch and offer it to
@@ -117,21 +132,21 @@ def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
     ep = next_episode(batches, memory, config.schedule, index,
                       allow_replay=not config.no_replay)
     if ep is None:
-        return False
-    if ep.query_source == STREAM and ep.query is not None:
+        return None
+    replayed = ep.query_source == MEMORY
+    if not replayed and ep.query is not None:
         memory.write(ep.query)
     for batch in ep.support:
         memory.write(batch)
-    trace.replay_episodes += ep.query_source == MEMORY
-    trace.replay_skips += ep.replay_skipped
+    sample = None
     if ep.query is not None:
         adapted = inner_adapt(model, adam.params, ep.support, config.inner_lr)
-        if config.record_alignment and ep.query_source == MEMORY:
-            trace.alignment.append(_support_query_alignment(model, adam.params, ep, index))
+        if config.record_alignment and replayed:
+            sample = _support_query_alignment(model, adam.params, ep, index)
         meta_outer_step(model, adam, adapted, ep.query)
-    trace.episodes.append((ep.index, ep.query_source, len(ep.support),
-                           len(ep.query) if ep.query is not None else 0))
-    return True
+    return StepRecord(ep.query_source, len(ep.support),
+                      len(ep.query) if ep.query is not None else 0,
+                      replayed, ep.replay_skipped, sample)
 
 
 def _support_query_alignment(model, params, ep: Episode, step: int) -> AlignmentSample:
@@ -183,47 +198,38 @@ def agem_project(g: np.ndarray, g_ref: np.ndarray):
 
 
 def _baseline_step(model, adam: Adam, batches, memory, config: LearnerConfig,
-                   trace: TrainingTrace, step: int) -> bool:
-    """Baseline step ``step`` (1-based): an Adam step on the next batch; False
-    once ``batches`` is spent. Every ceil(R_I/b) steps, REPLAY takes one more
-    Adam step on floor(r*R_I) memory samples, and A-GEM projects the batch
-    gradient against such a sample's when they conflict. ``memory`` is None
-    for MTL. The batch and its gradients are freed when the step returns,
-    before the next batch is drawn.
+                   step: int) -> StepRecord | None:
+    """Baseline step ``step`` (1-based): an Adam step on the next batch; None
+    once ``batches`` is spent. Every ceil(R_I/b) steps, A-GEM projects the
+    batch gradient against a memory sample's when they conflict, and REPLAY
+    takes one more Adam step on floor(r*R_I) memory samples. ``memory`` is
+    None for MTL. The batch and its gradients are freed when the step
+    returns, before the next batch is drawn.
     """
     batch = next(batches, None)
     if batch is None:
-        return False
-    adam_step(adam, _batch_grads(model, adam.params, batch, memory, config, trace, step))
-    if memory is None:
-        return True
-    memory.write(batch)
-    schedule = config.schedule
-    if (config.method == "REPLAY" and not config.no_replay
-            and step % schedule.baseline_frequency == 0 and len(memory) > 0):
-        replay_batch = memory.sample(schedule.replay_batch_size)
-        adam_step(adam, model.loss_and_grad(adam.params, replay_batch,
-                                            model.outer_partitions())[1])
-        trace.replay_episodes += 1
-    return True
-
-
-def _batch_grads(model, params, batch, memory, config: LearnerConfig,
-                 trace: TrainingTrace, step: int) -> np.ndarray:
-    """The gradient of ``batch``; A-GEM projects it against the gradient of
-    a memory sample every ``baseline_frequency`` steps."""
+        return None
     schedule, parts = config.schedule, model.outer_partitions()
-    _, grads = model.loss_and_grad(params, batch, parts)
-    if (config.method == "AGEM" and not config.no_replay
-            and step % schedule.baseline_frequency == 0 and len(memory) > 0):
-        ref_batch = memory.sample(schedule.replay_batch_size)
-        _, g_ref = model.loss_and_grad(params, ref_batch, parts)
-        trace.alignment.append(grad_dot(grads, g_ref, step))
-        grads, violated = agem_project(grads, g_ref)
-        if violated:  # keyed by the task of the batch's first row
-            tid = int(memory.task_ids(batch.rows[:1])[0])
-            trace.violations_per_task[tid] = trace.violations_per_task.get(tid, 0) + 1
-    return grads
+    due = not config.no_replay and step % schedule.baseline_frequency == 0
+    _, grads = model.loss_and_grad(adam.params, batch, parts)
+    sample = violated = None
+    if config.method == "AGEM" and due and len(memory) > 0:
+        _, g_ref = model.loss_and_grad(adam.params, memory.sample(schedule.replay_batch_size),
+                                       parts)
+        sample = grad_dot(grads, g_ref, step)
+        grads, projected = agem_project(grads, g_ref)
+        if projected:  # keyed by the task of the batch's first row
+            violated = int(memory.task_ids(batch.rows[:1])[0])
+    adam_step(adam, grads)
+    del grads  # REPLAY's memory step below never holds the batch gradient
+    replayed = False
+    if memory is not None:
+        memory.write(batch)
+        replayed = config.method == "REPLAY" and due and len(memory) > 0
+        if replayed:
+            adam_step(adam, model.loss_and_grad(
+                adam.params, memory.sample(schedule.replay_batch_size), parts)[1])
+    return StepRecord(None, 0, len(batch), replayed, False, sample, violated)
 
 
 def evaluate_direct(model, params_for, test_tasks):
@@ -252,7 +258,8 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
     Continual methods make one pass over the tasks in ``stream_order``; MTL
     makes ``config.epochs`` passes over i.i.d. batches of the pooled split
     and keeps no memory. Each episode or baseline step is one
-    ``_meta_episode`` or ``_baseline_step`` call, until the stream is spent.
+    ``_meta_episode`` or ``_baseline_step`` call, until the stream is spent;
+    the trace is built once, from the ``StepRecord`` each call returns.
     """
     rngs = named_rngs(seed)
     params = model.init_params(rngs["init"])
@@ -264,13 +271,14 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
         stream = BatchStream(tasks, order, b, rngs["stream"])
         memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"], rngs["memory_sample"])
     batches = itertools.chain.from_iterable(itertools.repeat(stream, config.epochs))
-    adam, trace = Adam(params, model.outer_partitions(), config.outer_lr), TrainingTrace()
+    adam, steps = Adam(params, model.outer_partitions(), config.outer_lr), []
     step = _meta_episode if config.method in META_METHODS else _baseline_step
-    index = 1
-    while step(model, adam, batches, memory, config, trace, index):
-        index += 1
-    trace.optimizer_steps = adam.t
-    return params, memory, trace
+    while (record := step(model, adam, batches, memory, config, len(steps) + 1)) is not None:
+        steps.append(record)
+    return params, memory, TrainingTrace(
+        steps, sum(s.replayed for s in steps), sum(s.skipped for s in steps), adam.t,
+        [s.alignment for s in steps if s.alignment is not None],
+        dict(Counter(s.violated for s in steps if s.violated is not None)))
 
 
 def run(model: Classifier, suite, config: LearnerConfig, seed: int,

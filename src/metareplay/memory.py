@@ -49,7 +49,6 @@ class EpisodicMemory:
         self._rows = np.empty(capacity, dtype=np.int64)
         self._size = 0
         self.offers = 0
-        self.short_samples = 0
 
     def __len__(self):
         return self._size
@@ -82,22 +81,17 @@ class EpisodicMemory:
         return stop - start
 
     def sample(self, n: int):
-        """Uniform sample of ``n`` distinct stored examples, as a copy.
-
-        If fewer than ``n`` items are stored, returns everything and counts a
-        short sample.
-        """
+        """Uniform sample of ``n`` distinct stored examples, as a copy; all
+        of them, in a random order, if ``n`` is at least the number stored."""
         size = self._size
         if size == 0:
             raise InputError("cannot sample from an empty memory")
         if n >= size:
-            if n > size:
-                self.short_samples += 1
             idx = self._sample_rng.permutation(size)
         else:
             idx = self._sample_rng.choice(size, size=n, replace=False)
         rows = self._rows.take(idx)
-        return Batch(self._split.features.take(rows, axis=0), self._split.labels.take(rows))
+        return Batch(self._split.features[rows], self._split.labels[rows])
 
     def task_ids(self, rows) -> np.ndarray:
         """The diagnostic task id of each split row in ``rows``."""

@@ -2,8 +2,8 @@
 
 A continual run makes exactly one pass over a stream of tasks. Examples are
 shuffled within a task (locally i.i.d.) but tasks are never interleaved, and
-batches never span a task boundary. Batches visible to learners carry
-features and labels only.
+batches never span a task boundary. A batch carries features, labels and
+the split rows it was taken from, never a task id.
 
 A suite's train (or test) side is one split: one features store and one
 labels array. The store is a dense array, or for hashed text a
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 import zlib
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .numerics import InputError
 
 @dataclass(frozen=True)
 class Batch:
-    """What a learner sees: features and labels, nothing else.
+    """What a learner sees: features, labels and the split rows, no task id.
 
     Class-label mode: ``features`` is (n, d) and ``labels`` holds class
     indices. Candidate-ranking mode: ``features`` is (n, K, d), one
@@ -34,16 +34,14 @@ class Batch:
     of the true candidate in [0, K).
 
     ``rows`` holds the split rows a batch was taken from (``TaskSpec.take``
-    sets it; any other batch has None). It is not a field: learners never
-    read it, the episodic memory stores it instead of copying features.
+    sets it; any other batch has None). The episodic memory stores them
+    instead of copying features, and A-GEM reads the task of a batch's
+    first row from them.
     """
 
     features: np.ndarray
     labels: np.ndarray  # (n,)
-    rows: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, rows):
-        object.__setattr__(self, "rows", rows)
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return self.features.shape[0]
@@ -160,7 +158,7 @@ class HashedRows:
     smallest one that holds ``dim - 1`` (at most 4 bytes). It stands in for
     the dense float64 ``(n, dim)`` array wherever a split's features are
     read: a row-range slice is a view over the same arrays, and indexing
-    with an integer array, ``take(rows, axis=0)`` and ``np.asarray`` return
+    with an integer array, ``take(rows)`` and ``np.asarray`` return
     dense float64 rows, each value computed as it is read. Negative and
     out-of-range rows behave as in numpy.
     """
@@ -179,10 +177,8 @@ class HashedRows:
                               self.norms[rows.start:stop], self.shape[1])
         return self.take(idx)
 
-    def take(self, rows, axis=0):
+    def take(self, rows):
         """Dense float64 copies of the rows at the integer index array ``rows``."""
-        if axis != 0:
-            raise ValueError("HashedRows.take reads rows: axis must be 0")
         starts = self.indptr[:-1].take(rows)
         lengths = self.indptr[1:].take(rows) - starts
         dim = self.shape[1]

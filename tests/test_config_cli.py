@@ -195,11 +195,11 @@ def test_cli_debug_traces_write_the_episodes_then_the_stored_examples(tmp_path):
                                          rc.orders[0])
     task_ids, labels = memory.stored()
     assert events == (
-        [{"event": "episode", "index": i, "query_source": source, "support_size": m,
-          "query_size": n} for i, source, m, n in trace.episodes]
+        [{"event": "episode", "index": i, "query_source": s.source, "support_size": s.support,
+          "query_size": s.examples} for i, s in enumerate(trace.steps, 1)]
         + [{"event": "stored", "task_id": t, "label": y} for t, y in zip(task_ids, labels)])
-    assert len(trace.episodes) > 0 and len(task_ids) == len(memory) > 0
-    assert {"MEMORY", "STREAM"} == {e["query_source"] for e in events[:len(trace.episodes)]}
+    assert len(trace.steps) > 0 and len(task_ids) == len(memory) > 0
+    assert {"MEMORY", "STREAM"} == {e["query_source"] for e in events[:len(trace.steps)]}
 
 
 @pytest.mark.parametrize("method", ["MTL", "OML_ER"])

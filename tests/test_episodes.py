@@ -95,7 +95,7 @@ def test_memory_query_count_matches_floor_formula():
             mem.write(ep.query)
         for b in ep.support:
             mem.write(b)
-        episodes.append(ep)
+        episodes.append((index, ep))
     total = len(episodes)
     # Independent consumption simulation: support eats up to m batches; a
     # stream query eats one more unless the episode index lands on R_F.
@@ -109,16 +109,15 @@ def test_memory_query_count_matches_floor_formula():
             remaining -= 1
         expected_total += 1
     assert total == expected_total
-    n_memory = sum(1 for e in episodes if e.query_source == MEMORY)
+    n_memory = sum(1 for _, e in episodes if e.query_source == MEMORY)
     assert n_memory == expected_memory
     consumed = sum(len(e.support) +
                    (1 if e.query_source == STREAM and e.query is not None else 0)
-                   for e in episodes)
+                   for _, e in episodes)
     assert consumed == n_batches
     assert n_memory == total // sched.frequency
     # Memory-sourced queries land exactly on multiples of R_F.
-    assert all(e.index % sched.frequency == 0
-               for e in episodes if e.query_source == MEMORY)
+    assert all(i % sched.frequency == 0 for i, e in episodes if e.query_source == MEMORY)
 
 
 def test_replay_skipped_when_memory_empty():

@@ -162,7 +162,7 @@ def test_meta_training_offers_every_stream_example_once(small_suite, small_sched
     total = sum(t.size for t in small_suite.train)
     assert memory.offers == total
     assert len(memory) == total  # p_write=1 admits everything
-    assert trace.replay_episodes == len(trace.episodes) // small_schedule.frequency
+    assert trace.replay_episodes == len(trace.steps) // small_schedule.frequency
 
 
 def test_no_replay_disables_memory_queries(small_suite, small_schedule):
@@ -230,7 +230,7 @@ def test_optimizer_steps_count_every_adam_step(method, small_suite, small_schedu
     b = small_schedule.batch_size
     n_batches = sum(-(-t.size // b) for t in small_suite.train)
     if method in META_METHODS:  # one outer step per episode that has a query
-        expected = sum(1 for *_, query_size in trace.episodes if query_size > 0)
+        expected = sum(1 for s in trace.steps if s.examples > 0)
     elif method == "REPLAY":  # one more step per replay
         assert trace.replay_episodes > 0
         expected = n_batches + trace.replay_episodes
@@ -240,6 +240,50 @@ def test_optimizer_steps_count_every_adam_step(method, small_suite, small_schedu
         expected = n_batches
     assert expected > 0
     assert trace.optimizer_steps == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_trace_is_its_step_records_reduced(method, small_suite, monkeypatch):
+    """One record per episode or baseline step, and every counter of the
+    trace read from them. R_I = 2 batches makes a replay due on every
+    episode (the first finds memory empty) and every second baseline step."""
+    from metareplay import learners
+
+    projected = []
+
+    def counted(g, g_ref):
+        out = agem_project(g, g_ref)
+        projected.append(out[1])
+        return out
+
+    monkeypatch.setattr(learners, "agem_project", counted)
+    schedule = ReplaySchedule(batch_size=8, support_size=3, replay_interval=16,
+                              replay_rate=0.5)
+    cfg = LearnerConfig(method, schedule, outer_lr=0.05, record_alignment=True)
+    _, _, trace = train(_clf(arch=architecture_for(method)), small_suite.train, cfg, seed=1)
+    steps = trace.steps
+    n_batches = sum(-(-t.size // 8) for t in small_suite.train)
+    assert trace.replay_episodes == sum(s.replayed for s in steps)
+    assert trace.replay_skips == sum(s.skipped for s in steps)
+    assert trace.alignment == [s.alignment for s in steps if s.alignment is not None]
+    violated = [s.violated for s in steps if s.violated is not None]
+    assert trace.violations_per_task == {t: violated.count(t) for t in violated}
+    assert len(violated) == sum(projected)
+    if method in META_METHODS:
+        assert [s.replayed for s in steps] == [s.source == "MEMORY" for s in steps]
+        assert [s.skipped for s in steps] == [True] + [False] * (len(steps) - 1)
+        assert trace.optimizer_steps == sum(s.examples > 0 for s in steps)
+        assert len(trace.alignment) == trace.replay_episodes > 0
+        return
+    assert len(steps) == n_batches and {s.source for s in steps} == {None}
+    assert sum(s.examples for s in steps) == sum(t.size for t in small_suite.train)
+    assert trace.optimizer_steps == n_batches + trace.replay_episodes
+    assert trace.replay_episodes == (n_batches // 2 if method == "REPLAY" else 0)
+    if method == "AGEM":
+        assert len(trace.alignment) == len(projected) == n_batches // 2
+        assert sum(projected) > 0
+    else:
+        assert not trace.alignment and not projected
 
 
 def test_mtl_learns_separable_suite(small_suite, small_schedule):

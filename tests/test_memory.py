@@ -54,7 +54,6 @@ class ListMemory:
         self._sample_rng = sample_rng
         self._features, self._labels, self._task_ids = [], [], []
         self.offers = 0
-        self.short_samples = 0
 
     def __len__(self):
         return len(self._labels)
@@ -78,8 +77,6 @@ class ListMemory:
     def sample(self, n):
         size = len(self)
         if n >= size:
-            if n > size:
-                self.short_samples += 1
             idx = self._sample_rng.permutation(size)
         else:
             idx = self._sample_rng.choice(size, size=n, replace=False)
@@ -141,10 +138,8 @@ def test_sample_has_no_duplicates_within_a_call():
 def test_short_sample_returns_everything_and_counts():
     mem = _memory(1.0)
     mem.write(_batch(4))
-    out = mem.sample(10)
-    assert len(out) == 4 and mem.short_samples == 1
-    out = mem.sample(4)
-    assert len(out) == 4 and mem.short_samples == 1  # exact size is not short
+    for n in (10, 4):  # more than stored, and exactly as many
+        assert sorted(mem.sample(n).features[:, 1]) == [0, 1, 2, 3]
 
 
 def test_empty_sample_raises():
@@ -209,7 +204,7 @@ def test_matches_list_reference(p_write, row_shape):
                 assert got.labels.dtype == want.labels.dtype
                 np.testing.assert_array_equal(got.features, want.features)
                 np.testing.assert_array_equal(got.labels, want.labels)
-    assert (mem.offers, mem.short_samples) == (ref.offers, ref.short_samples)
+    assert mem.offers == ref.offers
     comp = mem.composition()
     assert comp == ref.composition()
     assert all(type(k) is int and type(v) is int for k, v in comp.items())

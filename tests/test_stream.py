@@ -84,12 +84,13 @@ def test_invalid_order_and_empty_inputs_raise():
                     (0, 1), 2, np.random.default_rng(0))
 
 
-def test_batch_carries_only_features_and_labels():
+def test_batch_fields_are_features_labels_and_rows():
     import dataclasses
 
     from metareplay.stream import Batch
 
-    assert [f.name for f in dataclasses.fields(Batch)] == ["features", "labels"]
+    assert [f.name for f in dataclasses.fields(Batch)] == ["features", "labels", "rows"]
+    assert "rows" not in repr(Batch(np.zeros((1, 2)), np.zeros(1), np.zeros(1)))
 
 
 def test_take_records_rows_and_full_batch_is_a_read_only_view():
@@ -282,7 +283,7 @@ def _check_read_paths(tmp_path, texts):
             features[::2]
         rows = np.array([-1, -n, n - 1, 0, 0])
         np.testing.assert_array_equal(features[rows], want[rows])
-        np.testing.assert_array_equal(features.take(rows, axis=0), want.take(rows, axis=0))
+        np.testing.assert_array_equal(features.take(rows), want.take(rows, axis=0))
         assert features[np.array([], dtype=np.int64)].shape == (0, config.dim)
         for bad in ([n], [-n - 1], [0, n + 5]):
             with pytest.raises(IndexError):
@@ -290,7 +291,7 @@ def _check_read_paths(tmp_path, texts):
             with pytest.raises(IndexError):
                 features[np.array(bad)]
             with pytest.raises(IndexError):
-                features.take(np.array(bad), axis=0)
+                features.take(np.array(bad))
             with pytest.raises(IndexError):
                 tasks[1].take(np.array(bad))
 
