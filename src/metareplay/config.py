@@ -16,7 +16,7 @@ from .episodes import ReplaySchedule
 from .learners import LearnerConfig, architecture_for
 from .model import Classifier, ModelConfig
 from .numerics import InputError
-from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_suite
+from .stream import FeaturizerConfig, Suite, _Buckets, load_text_tasks, make_synthetic_suite
 
 _REQUIRED = object()
 
@@ -272,8 +272,9 @@ def build_suite(run_config: RunConfig) -> Suite:
             raise InputError(f"suite: {exc} while building the synthetic suite") from exc
     d = run_config.dataset_spec
     feat = FeaturizerConfig(**d["featurizer"])
-    suite = Suite(load_text_tasks(d["train_files"], feat),
-                  load_text_tasks(d["test_files"], feat))
+    buckets = _Buckets(feat.dim)  # one table per suite: a token in both splits is hashed once
+    suite = Suite(load_text_tasks(d["train_files"], feat, buckets),
+                  load_text_tasks(d["test_files"], feat, buckets))
     for path, task in zip(d["test_files"], suite.test):
         top = int(task.labels.max())
         if top >= suite.num_classes:

@@ -91,7 +91,7 @@ class EpisodicMemory:
         else:
             idx = self._sample_rng.choice(size, size=n, replace=False)
         rows = self._rows.take(idx)
-        return Batch(self._split.features[rows], self._split.labels[rows])
+        return Batch(self._split.features.take(rows, axis=0), self._split.labels.take(rows))
 
     def task_ids(self, rows) -> np.ndarray:
         """The diagnostic task id of each split row in ``rows``."""

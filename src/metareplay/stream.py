@@ -76,7 +76,7 @@ class TaskSpec:
         """A copy of the rows at an integer index array ``idx`` into this
         task, recording them as split rows."""
         rows = idx if self.whole is None else np.arange(self.offset, self.offset + self.size)[idx]
-        return Batch(self.features[idx], self.labels[idx], rows)
+        return Batch(self.features.take(idx, axis=0), self.labels.take(idx), rows)
 
     def full_batch(self):
         """The whole task as a read-only batch over the task's own arrays
@@ -128,14 +128,17 @@ class FeaturizerConfig:
 
 
 _TOKEN_RE = re.compile(r"[\w']+")
-# ASCII code point -> itself if _TOKEN_RE can match it, else a space. No
-# token character is whitespace, so on ASCII text
-# ``text.translate(_ASCII_SEPARATORS).split()`` gives _TOKEN_RE's tokens.
-_ASCII_SEPARATORS = "".join(c if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128)))
+# ASCII code point -> its lowercase if _TOKEN_RE can match it, else a space.
+# On ASCII text ``str.lower`` changes only A-Z, and no token character is
+# whitespace, so ``text.translate(_ASCII_SEPARATORS).split()`` gives the
+# tokens of ``_TOKEN_RE.findall(text.lower())``.
+_ASCII_SEPARATORS = "".join(c.lower() if _TOKEN_RE.fullmatch(c) else " "
+                            for c in map(chr, range(128)))
 
 
 class _Buckets(dict):
-    """token -> its hashed bucket in [0, dim); each distinct token is hashed once."""
+    """token -> its hashed bucket in [0, dim); each distinct token is hashed
+    once per table, and the splits of one suite share a table."""
 
     def __init__(self, dim: int):
         super().__init__()
@@ -158,7 +161,7 @@ class HashedRows:
     smallest one that holds ``dim - 1`` (at most 4 bytes). It stands in for
     the dense float64 ``(n, dim)`` array wherever a split's features are
     read: a row-range slice is a view over the same arrays, and indexing
-    with an integer array, ``take(rows)`` and ``np.asarray`` return
+    with an integer array, ``take(rows, axis=0)`` and ``np.asarray`` return
     dense float64 rows, each value computed as it is read. Negative and
     out-of-range rows behave as in numpy.
     """
@@ -177,8 +180,11 @@ class HashedRows:
                               self.norms[rows.start:stop], self.shape[1])
         return self.take(idx)
 
-    def take(self, rows):
-        """Dense float64 copies of the rows at the integer index array ``rows``."""
+    def take(self, rows, axis=0):
+        """Dense float64 copies of the rows at the integer index array ``rows``,
+        as ``ndarray.take(rows, axis=0)`` gives them; rows are the only axis."""
+        if axis != 0:
+            raise ValueError("HashedRows.take gathers rows: axis must be 0")
         starts = self.indptr[:-1].take(rows)
         lengths = self.indptr[1:].take(rows) - starts
         dim = self.shape[1]
@@ -360,9 +366,10 @@ def make_synthetic_suite(
 
 
 def _records(path):
-    """The (label, text) of each non-blank ``label<TAB>text`` line of a UTF-8 file."""
+    """The (label, text) of each non-blank ``label<TAB>text`` line of a UTF-8
+    file, which may start with a byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -388,14 +395,15 @@ def _file_rows(path, bucket, config: FeaturizerConfig):
     """Yield (labels, indptr, cols, counts, norms) of each block of up to
     ``_BLOCK_DOCS`` consecutive documents of one file, in file order;
     ``bucket`` maps a token to its bucket."""
-    records = _records(path)
+    records, truncate = _records(path), config.truncate
 
     def documents(labels, lengths):
         for label, text in itertools.islice(records, _BLOCK_DOCS):
             labels.append(label)
-            text = text.lower()
             words = (text.translate(_ASCII_SEPARATORS).split() if text.isascii()
-                     else _TOKEN_RE.findall(text))[:config.truncate]
+                     else _TOKEN_RE.findall(text.lower()))
+            if truncate is not None:
+                words = words[:truncate]
             lengths.append(len(words))
             yield words
 
@@ -421,20 +429,22 @@ def _extend(store: np.ndarray, piece: np.ndarray) -> np.ndarray:
     return store
 
 
-def load_text_tasks(paths, config: FeaturizerConfig) -> list:
+def load_text_tasks(paths, config: FeaturizerConfig, buckets: _Buckets | None = None) -> list:
     """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
     per file, with the file's position as its task id.
 
     Labels are non-negative int64 integers in the global label space. Each
     text is tokenized (lowercased, split into runs of word characters and
     apostrophes, cut to ``truncate`` tokens) as it is read and each distinct
-    token is hashed to a bucket in [0, dim) once; the split's features are
-    the ``HashedRows`` of the bucket counts, never a dense array. Each file
+    token is hashed to a bucket in [0, dim) once per ``buckets`` table (a new
+    one by default; the splits of a suite share one built for ``config.dim``).
+    The split's features are the ``HashedRows`` of the bucket counts, never a
+    dense array. Each file
     is featurized in blocks of ``_BLOCK_DOCS`` documents, each block's rows
     appended to the store, so the temporaries of loading are bounded by the
     block size, not by the size of a file or of the split.
     """
-    bucket = _Buckets(config.dim).__getitem__
+    bucket = (_Buckets(config.dim) if buckets is None else buckets).__getitem__
     labels, sizes, ends, norms = [], [], [np.zeros(1, dtype=np.int64)], []
     cols, counts = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
     for path in paths:

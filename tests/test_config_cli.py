@@ -9,6 +9,7 @@ import tempfile
 import threading
 import time
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,26 @@ def test_build_suite_and_model_from_dataset(tmp_path):
     model = build_model(rc, suite)
     assert model.config.num_classes == 2
     assert model.config.input_dim == 64
+
+
+def test_build_suite_hashes_each_token_once_per_suite(tmp_path, monkeypatch):
+    """The train and test loads of one suite share one token -> bucket
+    table, and no table outlives its build_suite call."""
+    texts = {"train_a": "0\tWordA Common\n0\tworda shared\n", "train_b": "1\twordb common\n",
+             "test_a": "0\tworda SHARED\n", "test_b": "1\tunseen wordb\n"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.tsv").write_text(text)
+    rc = parse_config({"method": "SEQ", "dataset": {
+        "train_files": [str(tmp_path / "train_a.tsv"), str(tmp_path / "train_b.tsv")],
+        "test_files": [str(tmp_path / "test_a.tsv"), str(tmp_path / "test_b.tsv")],
+        "featurizer": {"dim": 64}}})
+    hashed, crc32 = [], zlib.crc32
+    monkeypatch.setattr(zlib, "crc32", lambda data: hashed.append(data) or crc32(data))
+    distinct = sorted([b"common", b"shared", b"unseen", b"worda", b"wordb"])
+    for _ in range(2):
+        hashed.clear()
+        build_suite(rc)
+        assert sorted(hashed) == distinct
 
 
 def test_schedule_info_output(capsys):

@@ -101,6 +101,14 @@ def test_take_records_rows_and_full_batch_is_a_read_only_view():
     np.testing.assert_array_equal(batch.features, task.features[idx])
     np.testing.assert_array_equal(batch.features, task.split.features[batch.rows])
     np.testing.assert_array_equal(first.take(idx[:2] - 2).rows, [2, 1])
+    # A dense gather wraps negative rows and rejects out-of-range ones, in a
+    # split's task and in a TaskSpec that is its own split.
+    hand = TaskSpec(0, task.features.copy(), task.labels.copy())
+    np.testing.assert_array_equal(hand.take(idx).features, task.features[idx])
+    for bad in ([5], [-6], [0, 9]):
+        for t in (task, hand):
+            with pytest.raises(IndexError):
+                t.take(np.array(bad))
     full = task.full_batch()
     assert full.rows is None and len(full) == 5
     assert np.shares_memory(full.features, task.features)
@@ -177,7 +185,10 @@ _CONFIGS = (FeaturizerConfig(dim=2048), FeaturizerConfig(dim=7, truncate=5),
 
 
 def test_featurize_matches_per_token_loop(tmp_path):
-    texts = _texts(np.random.default_rng(4), 50)
+    # Mixed-case ASCII lowercases in the translate table; a Kelvin sign
+    # lowers to ASCII "k" and U+0130 to two code points, through the regex.
+    texts = _texts(np.random.default_rng(4), 50) + [
+        "MiXeD CaSe O'NEIL's ID_42 x1 X1", "\u212aelvin KELVIN \u212a", "\u0130stanbul \u0130 i\u0307"]
     for config in _CONFIGS:
         want = np.array([_featurize_loop(text, config) for text in texts])
         got = _loaded(tmp_path, texts, config)
@@ -284,6 +295,10 @@ def _check_read_paths(tmp_path, texts):
         rows = np.array([-1, -n, n - 1, 0, 0])
         np.testing.assert_array_equal(features[rows], want[rows])
         np.testing.assert_array_equal(features.take(rows), want.take(rows, axis=0))
+        np.testing.assert_array_equal(features.take(rows, axis=0), want.take(rows, axis=0))
+        for axis in (1, -1, None):
+            with pytest.raises(ValueError, match="axis"):
+                features.take(rows, axis=axis)
         assert features[np.array([], dtype=np.int64)].shape == (0, config.dim)
         for bad in ([n], [-n - 1], [0, n + 5]):
             with pytest.raises(IndexError):
@@ -427,6 +442,22 @@ def test_load_text_task(tmp_path):
     for dim in (1, 2**32 + 1):
         with pytest.raises(InputError, match="dim"):
             FeaturizerConfig(dim=dim)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    """A file that starts with a UTF-8 BOM loads to the same store and
+    labels as the file without it."""
+    body = "3\tfirst line\n0\tsecond line\n"
+    plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+    plain.write_text(body, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    config = FeaturizerConfig(dim=64)
+    want, got = (one_split(load_text_tasks([p], config)) for p in (plain, bom))
+    for name in ("indptr", "cols", "counts", "norms"):
+        a, b = getattr(want.features, name), getattr(got.features, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert want.labels.tobytes() == got.labels.tobytes()
+    np.testing.assert_array_equal(want.labels, [3, 0])
 
 
 def test_split_tasks_are_views_of_one_split():
