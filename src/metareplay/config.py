@@ -16,28 +16,13 @@ from .episodes import ReplaySchedule
 from .learners import LearnerConfig, architecture_for
 from .model import Classifier, ModelConfig
 from .numerics import InputError
-from .stream import FeaturizerConfig, Suite, _Buckets, load_text_tasks, make_synthetic_suite
+from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_suite
 
 _REQUIRED = object()
 
 # section -> key -> default (_REQUIRED means the key must be present)
 _SCHEMA = {
     "method": _REQUIRED,
-    "suite": {
-        "kind": "BALANCED",
-        "num_tasks": 5,
-        "classes_per_task": 2,
-        "examples_per_class": 1000,
-        "test_per_class": 250,
-        "input_dim": 10,
-        "seed": 7,
-        "separation": 4.0,
-    },
-    "dataset": {
-        "train_files": _REQUIRED,
-        "test_files": _REQUIRED,
-        "featurizer": {"dim": 2048, "truncate": None, "l2_normalize": True},
-    },
     "model": {
         "encoder_dims": [32],
         "architecture": None,  # derived from the method when omitted
@@ -57,6 +42,25 @@ _SCHEMA = {
     "combined_test": False,
     "record_alignment": False,
     "save_checkpoints": False,
+}
+
+# The data sections; a config names exactly one, and only that one is built.
+_DATA = {
+    "suite": {
+        "kind": "BALANCED",
+        "num_tasks": 5,
+        "classes_per_task": 2,
+        "examples_per_class": 1000,
+        "test_per_class": 250,
+        "input_dim": 10,
+        "seed": 7,
+        "separation": 4.0,
+    },
+    "dataset": {
+        "train_files": _REQUIRED,
+        "test_files": _REQUIRED,
+        "featurizer": {"dim": 2048, "truncate": None, "l2_normalize": True},
+    },
 }
 
 # Value types of the keys whose default shows none: required keys and None
@@ -93,47 +97,30 @@ def _describe(expected) -> str:
     return expected.__name__
 
 
-def _check_type(key: str, value, default) -> None:
-    if value is None and default is None:
-        return
-    expected = _TYPES.get(key) or _type_of(default)
-    if not _matches(value, expected):
-        raise InputError(f"config key {key} must be of type {_describe(expected)}, "
-                         f"got {value!r}")
-
-
 def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
+    """``raw`` checked against ``schema``, with its defaults filled in. The
+    first unknown key in sorted order is reported first, then each schema
+    key in schema order, so key order in a file never decides the fault."""
+    unknown = sorted(raw.keys() - schema.keys())
+    if unknown:
+        raise InputError(f"unknown config key: {path}{unknown[0]}")
     out = {}
-    for key, value in raw.items():
-        if key not in schema:
-            raise InputError(f"unknown config key: {path}{key}")
-        spec = schema[key]
-        if isinstance(spec, dict) and isinstance(value, dict):
-            out[key] = _apply_schema(value, spec, f"{path}{key}.")
-        else:
-            if not isinstance(spec, dict):
-                _check_type(f"{path}{key}", value, spec)
-            out[key] = value
     for key, spec in schema.items():
-        if key in out:
-            if isinstance(spec, dict) and not isinstance(out[key], dict):
-                raise InputError(f"config key {path}{key} must be a mapping")
-            continue
-        if spec is _REQUIRED:
-            raise InputError(f"missing required config key: {path}{key}")
+        # An absent key takes its default; an absent section, its defaults.
+        name, value = path + key, raw.get(key, {} if isinstance(spec, dict) else spec)
         if isinstance(spec, dict):
-            # Fill an absent section with its defaults, unless it contains
-            # required keys (suite/dataset presence carries meaning).
-            if not _has_required(spec):
-                out[key] = _apply_schema({}, spec, f"{path}{key}.")
-            continue
-        out[key] = spec
+            if not isinstance(value, dict):
+                raise InputError(f"config key {name} must be a mapping")
+            value = _apply_schema(value, spec, name + ".")
+        elif value is _REQUIRED:
+            raise InputError(f"missing required config key: {name}")
+        elif key in raw:
+            expected = _TYPES.get(name) or _type_of(spec)
+            if not (value is None and spec is None or _matches(value, expected)):
+                raise InputError(f"config key {name} must be of type "
+                                 f"{_describe(expected)}, got {value!r}")
+        out[key] = value
     return out
-
-
-def _has_required(schema: dict) -> bool:
-    return any(v is _REQUIRED or (isinstance(v, dict) and _has_required(v))
-               for v in schema.values())
 
 
 @dataclass
@@ -162,30 +149,39 @@ def _reject_repeats(key: str, values: list) -> None:
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config; every rejected input fails here, before training."""
+    """Check a raw config's keys, types and cross-key rules, and build only
+    the data section it names. What needs the data or the model's size is
+    checked by ``build_suite`` and ``build_model``, still before training."""
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
-    cfg = _apply_schema(raw, _SCHEMA)
-
-    has_suite = "suite" in raw
-    has_dataset = "dataset" in raw
-    if has_suite == has_dataset:
+    sources = [key for key in _DATA if key in raw]
+    if not sources:  # a misspelt data section is named as an unknown key
+        _apply_schema(raw, _SCHEMA)
+    if len(sources) != 1:
         raise InputError("config needs exactly one of 'suite' or 'dataset'")
-    suite_spec = cfg["suite"] if has_suite else None
-    dataset_spec = cfg.get("dataset")
-    if has_dataset and len(dataset_spec["train_files"]) != len(dataset_spec["test_files"]):
-        raise InputError("train_files and test_files must pair up per task")
-    if has_dataset and not dataset_spec["train_files"]:
-        raise InputError("dataset needs at least one task file")
+    source = sources[0]
+    cfg = _apply_schema(raw, {**_SCHEMA, source: _DATA[source]})
+    spec = cfg[source]
+
+    if source == "suite":
+        if spec["test_per_class"] < 1:
+            raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
+        if spec["examples_per_class"] < 1:
+            raise InputError("suite.examples_per_class must be >= 1")
+        input_dim, num_tasks = spec["input_dim"], spec["num_tasks"]
+        num_classes = num_tasks * spec["classes_per_task"]
+    else:
+        if len(spec["train_files"]) != len(spec["test_files"]):
+            raise InputError("train_files and test_files must pair up per task")
+        if not spec["train_files"]:
+            raise InputError("dataset needs at least one task file")
+        input_dim, num_tasks = spec["featurizer"]["dim"], len(spec["train_files"])
+        num_classes = 2  # replaced by the loaded label count in build_model
     if not cfg["seeds"] or min(cfg["seeds"]) < 0:
         raise InputError("seeds must be a non-empty list of non-negative integers")
     _reject_repeats("seeds", cfg["seeds"])
     if cfg["orders"] == []:  # null, not [], asks for the identity order
         raise InputError("orders must be a non-empty list of task orders, or null")
-    if has_suite and suite_spec["test_per_class"] < 1:
-        raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
-    if has_suite and suite_spec["examples_per_class"] < 1:
-        raise InputError("suite.examples_per_class must be >= 1")
 
     learner = LearnerConfig(
         method=cfg["method"],
@@ -193,15 +189,6 @@ def parse_config(raw: dict) -> RunConfig:
         record_alignment=cfg["record_alignment"],
         **cfg["learning"], **cfg["memory"], **cfg["ablations"],
     )
-
-    if suite_spec is not None:
-        input_dim = suite_spec["input_dim"]
-        num_classes = suite_spec["num_tasks"] * suite_spec["classes_per_task"]
-        num_tasks = suite_spec["num_tasks"]
-    else:
-        input_dim = dataset_spec["featurizer"]["dim"]
-        num_classes = 2  # replaced by the loaded label count in build_model
-        num_tasks = len(dataset_spec["train_files"])
 
     arch = cfg["model"]["architecture"] or architecture_for(learner.method)
     model = ModelConfig(
@@ -223,8 +210,8 @@ def parse_config(raw: dict) -> RunConfig:
         learner=learner,
         orders=[list(o) for o in orders],
         seeds=list(cfg["seeds"]),
-        suite_spec=suite_spec,
-        dataset_spec=dataset_spec,
+        suite_spec=cfg.get("suite"),
+        dataset_spec=cfg.get("dataset"),
         combined_test=cfg["combined_test"],
         save_checkpoints=cfg["save_checkpoints"],
     )
@@ -238,18 +225,28 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is an error, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"config key {key} is repeated in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def read_config(path) -> tuple[bytes, RunConfig]:
     """The config file's bytes, read once (it may be a pipe), and their RunConfig."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        raw = json.loads(data.decode("utf-8"), parse_constant=_finite_float,
-                         parse_float=_finite_float)
+        raw = json.loads(data.decode("utf-8-sig"), object_pairs_hook=_unique_keys,
+                         parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read config: {exc}") from exc
-    except InputError:  # a non-finite number, named by _finite_float
+    except InputError:  # a non-finite number or a repeated key, named where found
         raise
     except (ValueError, RecursionError) as exc:  # a too-long integer, too deep nesting
         raise InputError(f"{path}: cannot parse config: {exc}") from exc
@@ -271,10 +268,8 @@ def build_suite(run_config: RunConfig) -> Suite:
         except (FloatingPointError, MemoryError, ValueError) as exc:
             raise InputError(f"suite: {exc} while building the synthetic suite") from exc
     d = run_config.dataset_spec
-    feat = FeaturizerConfig(**d["featurizer"])
-    buckets = _Buckets(feat.dim)  # one table per suite: a token in both splits is hashed once
-    suite = Suite(load_text_tasks(d["train_files"], feat, buckets),
-                  load_text_tasks(d["test_files"], feat, buckets))
+    suite = Suite(*load_text_tasks([d["train_files"], d["test_files"]],
+                                   FeaturizerConfig(**d["featurizer"])))
     for path, task in zip(d["test_files"], suite.test):
         top = int(task.labels.max())
         if top >= suite.num_classes:

@@ -138,7 +138,7 @@ _ASCII_SEPARATORS = "".join(c.lower() if _TOKEN_RE.fullmatch(c) else " "
 
 class _Buckets(dict):
     """token -> its hashed bucket in [0, dim); each distinct token is hashed
-    once per table, and the splits of one suite share a table."""
+    once per table, and one ``load_text_tasks`` call builds one table."""
 
     def __init__(self, dim: int):
         super().__init__()
@@ -429,35 +429,39 @@ def _extend(store: np.ndarray, piece: np.ndarray) -> np.ndarray:
     return store
 
 
-def load_text_tasks(paths, config: FeaturizerConfig, buckets: _Buckets | None = None) -> list:
-    """Load one split from UTF-8 files of ``label<TAB>text`` lines, one task
-    per file, with the file's position as its task id.
+def load_text_tasks(splits, config: FeaturizerConfig) -> list:
+    """Load each split of ``splits`` (a list of path lists) from UTF-8 files
+    of ``label<TAB>text`` lines, one task per file, with the file's position
+    in its split as its task id; return each split's task list.
 
     Labels are non-negative int64 integers in the global label space. Each
     text is tokenized (lowercased, split into runs of word characters and
     apostrophes, cut to ``truncate`` tokens) as it is read and each distinct
-    token is hashed to a bucket in [0, dim) once per ``buckets`` table (a new
-    one by default; the splits of a suite share one built for ``config.dim``).
-    The split's features are the ``HashedRows`` of the bucket counts, never a
-    dense array. Each file
-    is featurized in blocks of ``_BLOCK_DOCS`` documents, each block's rows
-    appended to the store, so the temporaries of loading are bounded by the
-    block size, not by the size of a file or of the split.
+    token is hashed to a bucket in [0, dim) once per call: the splits share
+    one token table. A split's features are the ``HashedRows`` of the bucket
+    counts, never a dense array. Each file is featurized in blocks of
+    ``_BLOCK_DOCS`` documents, each block's rows appended to the store, so
+    the temporaries of loading are bounded by the block size, not by the
+    size of a file or of the split.
     """
-    bucket = (_Buckets(config.dim) if buckets is None else buckets).__getitem__
-    labels, sizes, ends, norms = [], [], [np.zeros(1, dtype=np.int64)], []
-    cols, counts = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
-    for path in paths:
-        start = len(labels)
-        for block_labels, indptr, block_cols, block_counts, block_norms in _file_rows(
-                path, bucket, config):
-            labels += block_labels
-            ends.append(indptr[1:] + len(cols))
-            norms.append(block_norms)
-            cols, counts = _extend(cols, block_cols), _extend(counts, block_counts)
-        if len(labels) == start:
-            raise InputError(f"{path}: no records")
-        sizes.append(len(labels) - start)
-    features = HashedRows(np.concatenate(ends), cols, counts, np.concatenate(norms),
-                          config.dim)
-    return split_tasks(range(len(paths)), features, np.array(labels, dtype=np.int64), sizes)
+    bucket = _Buckets(config.dim).__getitem__
+    loaded = []
+    for paths in splits:
+        labels, sizes, ends, norms = [], [], [np.zeros(1, dtype=np.int64)], []
+        cols, counts = np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint8)
+        for path in paths:
+            start = len(labels)
+            for block_labels, indptr, block_cols, block_counts, block_norms in _file_rows(
+                    path, bucket, config):
+                labels += block_labels
+                ends.append(indptr[1:] + len(cols))
+                norms.append(block_norms)
+                cols, counts = _extend(cols, block_cols), _extend(counts, block_counts)
+            if len(labels) == start:
+                raise InputError(f"{path}: no records")
+            sizes.append(len(labels) - start)
+        features = HashedRows(np.concatenate(ends), cols, counts, np.concatenate(norms),
+                              config.dim)
+        loaded.append(split_tasks(range(len(paths)), features,
+                                  np.array(labels, dtype=np.int64), sizes))
+    return loaded

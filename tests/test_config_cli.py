@@ -70,6 +70,13 @@ def test_exactly_one_data_source():
         parse_config({"method": "SEQ"})
 
 
+def test_misspelt_data_section_is_named_as_an_unknown_key():
+    cfg = _minimal()
+    cfg["suit"] = cfg.pop("suite")
+    with pytest.raises(InputError, match="^unknown config key: suit$"):
+        parse_config(cfg)
+
+
 def test_orders_must_be_permutations():
     with pytest.raises(InputError):
         parse_config(_minimal(orders=[[0, 1, 1]]))
@@ -718,6 +725,51 @@ def test_cli_config_nested_too_deep_exits_2(tmp_path, capsys):
     cfg_path.write_text('{"method": ' + "[" * 100_000 + "]" * 100_000 + "}")
     _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
     assert f"error: {cfg_path}: " in capsys.readouterr().err
+
+
+def test_cli_config_with_a_byte_order_mark_runs_and_is_copied_unchanged(tmp_path):
+    data = b"\xef\xbb\xbf" + json.dumps(_minimal()).encode()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes(data)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "config.json").read_bytes() == data
+    assert (out / "order0_seed0" / "metrics.jsonl").is_file()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"seeds": [0]', '"seeds": [0], "seeds": [5]', "seeds"),
+    ('"batch_size": 8', '"batch_size": 8, "batch_size": 4', "batch_size"),
+], ids=["top-level", "in-a-section"])
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys, old, new, key):
+    """json keeps a repeated key's last value; the run names the key instead."""
+    cfg_path = tmp_path / "config.json"
+    text = json.dumps(_minimal())
+    assert old in text
+    cfg_path.write_text(text.replace(old, new))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert capsys.readouterr().err == f"error: config key {key} is repeated in one JSON object\n"
+
+
+def _reversed_keys(value):
+    """``value`` with the keys of every JSON object in reverse order."""
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    return value
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"bogus": 1, "schedule": {"batch_size": "8"}}, "unknown config key: bogus"),
+    ({"zeta": 1, "alpha": 2}, "unknown config key: alpha"),
+    ({"schedule": {"batch_size": "8", "batchsize": 8}}, "unknown config key: schedule.batchsize"),
+], ids=["unknown-key-and-mistyped-value", "two-unknown-keys", "both-in-a-section"])
+def test_cli_reported_config_fault_does_not_depend_on_key_order(tmp_path, capsys, over, message):
+    """A config with two faults gives one message, whichever key the file lists first."""
+    cfg_path = tmp_path / "config.json"
+    for cfg in (_minimal(**over), _reversed_keys(_minimal(**over))):
+        cfg_path.write_text(json.dumps(cfg))
+        _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_support_size_beyond_sys_maxsize_exits_2(tmp_path, capsys):

@@ -156,8 +156,8 @@ def _write(path, texts, labels=None):
 
 def _loaded(tmp_path, texts, config):
     """The dense rows ``load_text_tasks`` reads from one file of ``texts``."""
-    return np.asarray(one_split(load_text_tasks([_write(tmp_path / "t.tsv", texts)],
-                                                config)).features)
+    return np.asarray(one_split(load_text_tasks([[_write(tmp_path / "t.tsv", texts)]],
+                                                config)[0]).features)
 
 
 def test_featurize_hand_oracle(tmp_path):
@@ -245,7 +245,7 @@ def _check_read_paths(tmp_path, texts):
     n = len(texts)
     for config in _CONFIGS:
         want = np.array([_featurize_loop(text, config) for text in texts])
-        tasks = load_text_tasks(paths, config)
+        tasks = load_text_tasks([paths], config)[0]
         split = one_split(tasks)
         np.testing.assert_array_equal(split.labels, np.arange(n))
         counts = np.array([_featurize_loop(text, dataclasses.replace(config, l2_normalize=False))
@@ -316,7 +316,7 @@ def test_hashed_rows_bytes_do_not_grow_with_dim(tmp_path):
     nbytes = []
     for dim in (2**12, 2**16, 2**20, 2**32):
         path = _write(tmp_path / "t.tsv", texts)
-        features = one_split(load_text_tasks([path], FeaturizerConfig(dim=dim))).features
+        features = one_split(load_text_tasks([[path]], FeaturizerConfig(dim=dim))[0]).features
         assert features.shape == (40, dim)
         nbytes.append(_store_bytes(features))
     # An int64 row pointer and a float64 norm per row, then a uint8 count
@@ -341,10 +341,10 @@ def test_loading_holds_the_store_plus_one_file(tmp_path):
                     [" ".join(rng.choice(vocabulary, 50)) for _ in range(400)])
              for f in range(8)]
     config = FeaturizerConfig(dim=2**20)
-    load_text_tasks(paths, config)  # warm up imports and caches
+    load_text_tasks([paths], config)  # warm up imports and caches
     tracemalloc.start()
     try:
-        split = one_split(load_text_tasks(paths, config))
+        split = one_split(load_text_tasks([paths], config)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,10 +363,10 @@ def test_loading_one_large_file_holds_the_store_plus_one_block(tmp_path, monkeyp
     paths = [_write(tmp_path / "t.tsv",
                     [" ".join(rng.choice(vocabulary, 50)) for _ in range(3200)])]
     config = FeaturizerConfig(dim=2**20)
-    load_text_tasks(paths, config)  # warm up imports and caches
+    load_text_tasks([paths], config)  # warm up imports and caches
     tracemalloc.start()
     try:
-        split = one_split(load_text_tasks(paths, config))
+        split = one_split(load_text_tasks([paths], config)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,9 +380,9 @@ def test_blocks_store_the_same_bytes_and_dtypes_as_one_block(tmp_path, monkeypat
     texts = ["a b a", "c", "", "a " * 300, "b c d"] * 2
     paths = [_write(tmp_path / "t0.tsv", texts), _write(tmp_path / "t1.tsv", texts[:4])]
     config = FeaturizerConfig(dim=300, l2_normalize=True)
-    whole = one_split(load_text_tasks(paths, config))
+    whole = one_split(load_text_tasks([paths], config)[0])
     monkeypatch.setattr("metareplay.stream._BLOCK_DOCS", 3)
-    blocks = one_split(load_text_tasks(paths, config))
+    blocks = one_split(load_text_tasks([paths], config)[0])
     for name in ("indptr", "cols", "counts", "norms"):
         a, b = getattr(whole.features, name), getattr(blocks.features, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -420,7 +420,7 @@ def test_load_text_task(tmp_path):
     a.write_text("0\thello world\n1\tgoodbye moon\n", encoding="utf-8")
     b.write_text(f"\n{2**63 - 1}\tsee you\n", encoding="utf-8")
     config = FeaturizerConfig(dim=64)
-    tasks = load_text_tasks([a, b], config)
+    tasks = load_text_tasks([[a, b]], config)[0]
     assert [(t.task_id, t.offset, t.size) for t in tasks] == [(0, 0, 2), (1, 2, 1)]
     split = one_split(tasks)
     assert split.labels.dtype == np.int64
@@ -438,7 +438,7 @@ def test_load_text_task(tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(InputError, match="bad.tsv" + (f":{where}:" if where else "")):
-            load_text_tasks([a, bad], config)
+            load_text_tasks([[a, bad]], config)
     for dim in (1, 2**32 + 1):
         with pytest.raises(InputError, match="dim"):
             FeaturizerConfig(dim=dim)
@@ -452,7 +452,7 @@ def test_byte_order_mark_is_dropped(tmp_path):
     plain.write_text(body, encoding="utf-8")
     bom.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
     config = FeaturizerConfig(dim=64)
-    want, got = (one_split(load_text_tasks([p], config)) for p in (plain, bom))
+    want, got = (one_split(load_text_tasks([[p]], config)[0]) for p in (plain, bom))
     for name in ("indptr", "cols", "counts", "norms"):
         a, b = getattr(want.features, name), getattr(got.features, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
