@@ -41,10 +41,6 @@ def trace_episodes(schedule: ReplaySchedule, n_batches: int):
         ep = next_episode(it, memory, schedule, index)
         if ep is None:
             break
-        if ep.query_source != MEMORY and ep.query is not None:
-            memory.write(ep.query)
-        for b in ep.support:
-            memory.write(b)
         marks.append("R" if ep.query_source == MEMORY else ".")
     print(f"  episode trace ({len(marks)} episodes, R = memory query):")
     for start in range(0, len(marks), 60):

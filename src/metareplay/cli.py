@@ -156,16 +156,15 @@ def run_experiment(config_path, out_dir, seed_override=None, debug_traces=False)
     return 0
 
 
-def schedule_info(replay_interval, batch_size, support_size, replay_rate, file=None):
-    file = file or sys.stdout
+def schedule_info(replay_interval, batch_size, support_size, replay_rate):
     sched = ReplaySchedule(batch_size=batch_size, support_size=support_size,
                            replay_interval=replay_interval, replay_rate=replay_rate)
-    print(f"replay frequency R_F      : {sched.frequency} episodes", file=file)
-    print(f"replay batch size         : {sched.replay_batch_size} examples", file=file)
-    print(f"baseline replay frequency : {sched.baseline_frequency} optimizer steps", file=file)
+    print(f"replay frequency R_F      : {sched.frequency} episodes")
+    print(f"replay batch size         : {sched.replay_batch_size} examples")
+    print(f"baseline replay frequency : {sched.baseline_frequency} optimizer steps")
     if sched.frequency == 1:
         print("warning: replay would occur every episode "
-              f"(rate at or above 1/m = {1.0 / support_size:.0%})", file=file)
+              f"(rate at or above 1/m = {1.0 / support_size:.0%})")
     return sched
 
 

@@ -87,21 +87,26 @@ def next_episode(stream_iter, memory, schedule: ReplaySchedule, index: int,
     ``stream_iter`` yields batches. On a memory-sourced query the stream is
     not advanced for the query. If the stream ends mid-support, the last
     collected batch becomes the query; a lone final batch yields an episode
-    with no query.
+    with no query. After any replay sample, each stream batch drawn is
+    offered to ``memory`` once, a stream query before the support in order:
+    admission goes by offer position, so this order fixes what is stored.
     """
     support = list(itertools.islice(stream_iter, schedule.support_size))
     if not support:
         return None
-
     replay_due = allow_replay and index % schedule.frequency == 0
     if replay_due and len(memory) > 0:
-        query = memory.sample(schedule.replay_batch_size)
-        return Episode(support, query, MEMORY)
-
-    query = next(stream_iter, None)
-    if query is None and len(support) >= 2:
-        query = support.pop()
-    return Episode(support, query, STREAM, replay_skipped=replay_due)
+        ep = Episode(support, memory.sample(schedule.replay_batch_size), MEMORY)
+    else:
+        query = next(stream_iter, None)
+        if query is None and len(support) >= 2:
+            query = support.pop()
+        if query is not None:
+            memory.write(query)
+        ep = Episode(support, query, STREAM, replay_skipped=replay_due)
+    for batch in support:
+        memory.write(batch)
+    return ep
 
 
 def meta_test_episode(memory, support_size: int, batch_size: int) -> list:

@@ -123,21 +123,16 @@ def _meta_episode(model, adam: Adam, batches, memory, config: LearnerConfig,
                   index: int) -> StepRecord | None:
     """Episode ``index`` of meta-training; None once the stream is spent.
 
-    Draw the support from the stream; on replay episodes sample the query
-    from memory, otherwise take the next stream batch and offer it to
-    memory; offer the support to memory; adapt; meta-update. The episode's
-    batches and adapted parameters are freed when it returns, before the
-    next episode draws.
+    ``next_episode`` draws the episode and offers its stream batches to
+    memory; this adapts on the support, samples the alignment of a replay
+    episode when asked, and meta-updates. The episode's batches and adapted
+    parameters are freed when it returns, before the next episode draws.
     """
     ep = next_episode(batches, memory, config.schedule, index,
                       allow_replay=not config.no_replay)
     if ep is None:
         return None
     replayed = ep.query_source == MEMORY
-    if not replayed and ep.query is not None:
-        memory.write(ep.query)
-    for batch in ep.support:
-        memory.write(batch)
     sample = None
     if ep.query is not None:
         adapted = inner_adapt(model, adam.params, ep.support, config.inner_lr)
@@ -259,7 +254,9 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
     makes ``config.epochs`` passes over i.i.d. batches of the pooled split
     and keeps no memory. Each episode or baseline step is one
     ``_meta_episode`` or ``_baseline_step`` call, until the stream is spent;
-    the trace is built once, from the ``StepRecord`` each call returns.
+    the trace is built once, from the ``StepRecord`` each call returns. A
+    meta run that fine-tunes at meta-test raises ``InputError`` before its
+    first step if its memory will admit none of the stream.
     """
     rngs = named_rngs(seed)
     params = model.init_params(rngs["init"])
@@ -270,6 +267,11 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
         order = range(len(tasks)) if stream_order is None else stream_order
         stream = BatchStream(tasks, order, b, rngs["stream"])
         memory = EpisodicMemory(config.p_write, tasks, rngs["memory_write"], rngs["memory_sample"])
+        if (config.method in META_METHODS and not config.no_meta_test_finetune
+                and not memory.admits_any()):  # a meta run offers each example once
+            raise InputError(f"p_write {config.p_write:g} admits none of the {memory.capacity} "
+                             "training examples, but meta-test fine-tuning samples from "
+                             "memory (set ablations.no_meta_test_finetune)")
     batches = itertools.chain.from_iterable(itertools.repeat(stream, config.epochs))
     adam, steps = Adam(params, model.outer_partitions(), config.outer_lr), []
     step = _meta_episode if config.method in META_METHODS else _baseline_step

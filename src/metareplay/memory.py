@@ -41,7 +41,6 @@ class EpisodicMemory:
         self._split = one_split(tasks)
         self._offsets = np.array([t.offset for t in tasks], dtype=np.int64)
         self._task_ids = np.array([t.task_id for t in tasks], dtype=np.int64)
-        self.p_write = p_write
         self.capacity = capacity = self._split.size
         self._admit = (np.ones(capacity, dtype=bool) if p_write >= 1.0
                        else write_rng.random(capacity) < p_write)
@@ -52,6 +51,10 @@ class EpisodicMemory:
 
     def __len__(self):
         return self._size
+
+    def admits_any(self) -> bool:
+        """Whether any of the ``capacity`` offers of one pass will be admitted."""
+        return bool(self._admit.any())
 
     def write(self, batch) -> int:
         """Offer every example in the batch; returns the number admitted.

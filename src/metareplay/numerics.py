@@ -66,9 +66,8 @@ class ParameterSet:
         self._trainable = min((slots[n][0] for n in order
                                if partitions[n] == Partition.NM_FROZEN), default=start)
         self._layouts: dict = {}
-        self._all = frozenset(self.partitions.values())
         self.flat = np.empty(start)
-        self.tensors = self.views(self.flat, self._all)
+        self.tensors = self.views(self.flat, self.partitions.values())
         for name, t in tensors.items():
             self.tensors[name][...] = t
 
@@ -113,7 +112,6 @@ class ParameterSet:
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
-        twin._all = self._all
         twin._trainable = n = self._trainable
         twin.flat = self.flat[:n].copy()
         twin.tensors = {}

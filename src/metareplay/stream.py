@@ -375,12 +375,14 @@ def _records(path):
                 if not line:
                     continue
                 try:
-                    label, text = line.split("\t", 1)
-                    label = int(label)
+                    raw, text = line.split("\t", 1)
+                    label = int(raw)
                 except ValueError as exc:
                     raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'") from exc
                 if label < 0:
                     raise InputError(f"{path}:{lineno}: label {label} is negative")
+                if not (raw.isascii() and raw.isdigit()):  # int() also takes 1_0, +1, ' 0'
+                    raise InputError(f"{path}:{lineno}: expected 'label<TAB>text'")
                 if label >= 2**63:
                     raise InputError(f"{path}:{lineno}: label {label} does not fit in int64")
                 yield label, text

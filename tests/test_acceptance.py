@@ -94,11 +94,6 @@ def test_criterion_1_schedule_arithmetic():
         total += 1
         if ep.query_source == MEMORY:
             n_memory += 1
-        else:
-            if ep.query is not None:
-                mem.write(ep.query)
-        for b in ep.support:
-            mem.write(b)
     elapsed = time.perf_counter() - t0
     ok = ok and n_memory == total // sched.frequency and elapsed < 1.0
     _report(1, ok, f"R_F(9600,16,5)=101, R_F(1600,4,5)=67, baseline 600, "

@@ -423,6 +423,17 @@ def test_cli_label_outside_int64_exits_2(tmp_path, capsys):
     assert "train.tsv:2: label 100000000000000000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["1_0", "+1", "٣", " 0", "１"],
+                         ids=["underscore", "plus-sign", "arabic-indic-digit",
+                              "leading-space", "fullwidth-digit"])
+def test_cli_label_that_is_not_ascii_digits_exits_2(tmp_path, capsys, label):
+    # int() accepts each of these; a typo must not silently add a class.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_dataset_config(tmp_path, f"0\tworda\n{label}\twordb\n")))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "train.tsv:2: expected 'label<TAB>text'" in capsys.readouterr().err
+
+
 def test_cli_unallocatable_class_count_exits_2(tmp_path, capsys):
     # Label 10**12 asks for a 233 TiB head: rejected before anything is written.
     cfg_path = tmp_path / "config.json"

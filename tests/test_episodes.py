@@ -17,9 +17,10 @@ from metareplay.memory import EpisodicMemory
 from metareplay.numerics import InputError
 from metareplay.stream import TaskSpec
 
-# The longest stream below offers 120 batches of 4; every row of batch i is i.
+# The longest stream below offers 120 batches of 4; every row of batch i is
+# i, and so is its label.
 TASK = TaskSpec(0, np.repeat(np.arange(120.0), 4)[:, None].repeat(2, axis=1),
-                np.zeros(480, dtype=int))
+                np.repeat(np.arange(120), 4))
 
 
 def _mem(seed=0):
@@ -91,10 +92,6 @@ def test_memory_query_count_matches_floor_formula():
         ep = next_episode(it, mem, sched, index)
         if ep is None:
             break
-        if ep.query_source == STREAM and ep.query is not None:
-            mem.write(ep.query)
-        for b in ep.support:
-            mem.write(b)
         episodes.append((index, ep))
     total = len(episodes)
     # Independent consumption simulation: support eats up to m batches; a
@@ -125,11 +122,69 @@ def test_replay_skipped_when_memory_empty():
                            replay_rate=0.5)
     assert sched.frequency == 2
     it = _stream(8)
-    mem = _mem()  # never written: every due replay must fall back to the stream
+    # Admits nothing, so every due replay must fall back to the stream.
+    mem = EpisodicMemory(0.0, [TASK], np.random.default_rng(0), np.random.default_rng(1))
     ep1 = next_episode(it, mem, sched, 1)
     ep2 = next_episode(it, mem, sched, 2)
     assert ep1.query_source == STREAM and not ep1.replay_skipped
     assert ep2.query_source == STREAM and ep2.replay_skipped
+
+
+def _stored_batches(mem):
+    """The batch index of each stored example, in storage (offer) order."""
+    return mem.stored()[1]
+
+
+def test_stream_episode_offers_its_query_then_its_support():
+    sched = ReplaySchedule(batch_size=4, support_size=3, replay_interval=40,
+                           replay_rate=0.1)
+    mem = _mem()
+    ep = next_episode(_stream(8), mem, sched, 1)
+    assert ep.query_source == STREAM
+    assert mem.offers == 16
+    assert _stored_batches(mem) == [3] * 4 + [0] * 4 + [1] * 4 + [2] * 4
+
+
+def test_replay_episode_samples_then_offers_only_its_support():
+    sched = ReplaySchedule(batch_size=4, support_size=3, replay_interval=12,
+                           replay_rate=0.5)
+    assert sched.frequency == 1 and sched.replay_batch_size == 6
+    mem = _mem()
+    mem.write(_batch(7))
+    it = _stream(8)
+    ep = next_episode(it, mem, sched, 1)
+    assert ep.query_source == MEMORY
+    # The sample asks for more than is stored, so it returns all of what was
+    # stored before the support was offered, and nothing of the support.
+    assert sorted(ep.query.labels.tolist()) == [7] * 4
+    assert mem.offers == 4 + 12
+    assert _stored_batches(mem) == [7] * 4 + [0] * 4 + [1] * 4 + [2] * 4
+    assert next(it).labels.tolist() == [3] * 4  # the query drew no stream batch
+
+
+@pytest.mark.parametrize("n_batches, stored", [(1, [0] * 4), (2, [1] * 4 + [0] * 4)])
+def test_tail_batches_are_offered_once(n_batches, stored):
+    sched = ReplaySchedule(batch_size=4, support_size=3, replay_interval=40,
+                           replay_rate=0.1)
+    mem = _mem()
+    it = _stream(n_batches)
+    assert next_episode(it, mem, sched, 1) is not None
+    assert next_episode(it, mem, sched, 2) is None
+    assert mem.offers == 4 * n_batches
+    assert _stored_batches(mem) == stored
+
+
+def test_episodes_without_replay_still_offer_every_batch():
+    sched = ReplaySchedule(batch_size=4, support_size=1, replay_interval=4,
+                           replay_rate=1.0)
+    assert sched.frequency == 1
+    mem = _mem()
+    it = _stream(6)
+    for index in range(1, 4):
+        assert next_episode(it, mem, sched, index, allow_replay=False).query_source == STREAM
+    assert next_episode(it, mem, sched, 4, allow_replay=False) is None
+    assert mem.offers == 24
+    assert _stored_batches(mem) == np.repeat([1, 0, 3, 2, 5, 4], 4).tolist()
 
 
 def test_no_replay_flag_suppresses_memory_queries():

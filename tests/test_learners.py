@@ -165,6 +165,28 @@ def test_meta_training_offers_every_stream_example_once(small_suite, small_sched
     assert trace.replay_episodes == len(trace.steps) // small_schedule.frequency
 
 
+@pytest.mark.parametrize("method", META_METHODS)
+def test_meta_run_whose_memory_admits_nothing_stops_before_training(
+        method, small_suite, small_schedule, monkeypatch):
+    """Meta-test fine-tuning samples memory; a p_write that admits none of
+    the stream is rejected before the first gradient, not after training."""
+    calls, loss_and_grad = [], Classifier.loss_and_grad
+
+    def counted(self, *args):
+        calls.append(method)
+        return loss_and_grad(self, *args)
+
+    monkeypatch.setattr(Classifier, "loss_and_grad", counted)
+    model = _clf(arch=architecture_for(method))
+    cfg = LearnerConfig(method, small_schedule, p_write=1e-9)
+    with pytest.raises(InputError, match="admits none of the 360 training examples"):
+        run(model, small_suite, cfg, seed=0)
+    assert calls == []
+    cfg = LearnerConfig(method, small_schedule, p_write=1e-9, no_meta_test_finetune=True)
+    _, _, memory, _, _ = run(model, small_suite, cfg, seed=0)
+    assert len(memory) == 0 and calls
+
+
 def test_no_replay_disables_memory_queries(small_suite, small_schedule):
     cfg = LearnerConfig("OML_ER", small_schedule, no_replay=True)
     _, memory, trace = train(_clf(), small_suite.train, cfg, seed=0)
