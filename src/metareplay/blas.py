@@ -3,7 +3,8 @@
 A product split over OpenBLAS's worker threads leaves the weights in a
 worker's cache, where the optimizer step that writes them next must fetch
 them back, and a dot product over more than about 10,000 entries is summed
-in an order set by the thread count.
+in an order set by the thread count. The library is the one numpy's own
+linear-algebra extension links, found through that extension's handle.
 """
 
 from __future__ import annotations
@@ -12,7 +13,10 @@ import contextlib
 import ctypes
 import functools
 
-import numpy  # noqa: F401  (loads the OpenBLAS that the lookup finds)
+import numpy.linalg
+
+# numpy's linear-algebra extension: dlsym on it also searches its dependencies.
+_LINALG = numpy.linalg._umath_linalg.__file__
 
 # (get, set) thread-count symbols of each OpenBLAS build numpy ships or links.
 _SYMBOLS = (
@@ -22,30 +26,21 @@ _SYMBOLS = (
 )
 
 
-def _openblas_libraries() -> list:
-    """Paths of the loaded libraries that name OpenBLAS; none without ``/proc``."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            return sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-
-
 @functools.cache
 def thread_api():
-    """(get, set) thread-count functions of the OpenBLAS loaded into this
-    process, found once; None where there is none (another BLAS or OS)."""
-    for lib in _openblas_libraries():
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _SYMBOLS:
-            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+    """(get, set) thread-count functions of the OpenBLAS numpy links, found
+    once; None where there is none (another BLAS, or a loader that does not
+    search a library's dependencies)."""
+    try:
+        handle = ctypes.CDLL(_LINALG)
+    except OSError:
+        return None
+    for get_name, set_name in _SYMBOLS:
+        get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

@@ -247,6 +247,7 @@ def evaluate_direct(model, params_for, test_tasks):
 # Training loop and dispatch
 # ---------------------------------------------------------------------------
 
+@one_blas_thread()
 def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
     """Train with the configured method; returns (params, memory, trace).
 
@@ -256,7 +257,8 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
     ``_meta_episode`` or ``_baseline_step`` call, until the stream is spent;
     the trace is built once, from the ``StepRecord`` each call returns. A
     meta run that fine-tunes at meta-test raises ``InputError`` before its
-    first step if its memory will admit none of the stream.
+    first step if its memory will admit none of the stream. Like ``run``,
+    it trains with numpy's OpenBLAS on the calling thread.
     """
     rngs = named_rngs(seed)
     params = model.init_params(rngs["init"])
@@ -283,6 +285,7 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
         dict(Counter(s.violated for s in steps if s.violated is not None)))
 
 
+@one_blas_thread()
 def run(model: Classifier, suite, config: LearnerConfig, seed: int,
         stream_order=None, combined_test: bool = False):
     """Train with the configured method and evaluate on the suite's test sets.
@@ -290,14 +293,13 @@ def run(model: Classifier, suite, config: LearnerConfig, seed: int,
     With ``combined_test`` the test split is scored as one task, so every
     method reports a single accuracy over all test examples.
     Training and scoring run with numpy's OpenBLAS on the calling thread
-    (``blas.one_blas_thread``), so two Python threads must not call it at once.
+    (``blas.one_blas_thread``), so two Python threads must not call run or train at once.
     Returns (per_task_accuracies, params, memory, trace, gate_records).
     """
     test = [one_split(suite.test)] if combined_test and suite.test else suite.test
-    with one_blas_thread():
-        params, memory, trace = train(model, suite.train, config, seed, stream_order)
-        if config.method in META_METHODS:
-            accs, gates = run_meta_testing(model, params, memory, test, config)
-        else:
-            accs, gates = evaluate_direct(model, lambda task: params, test)
+    params, memory, trace = train(model, suite.train, config, seed, stream_order)
+    if config.method in META_METHODS:
+        accs, gates = run_meta_testing(model, params, memory, test, config)
+    else:
+        accs, gates = evaluate_direct(model, lambda task: params, test)
     return accs, params, memory, trace, gates

@@ -207,8 +207,8 @@ def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> Pa
     ``grads`` is one vector over that span, consumed: it is scaled by
     ``alpha`` in place. Other parameters are untouched.
     """
-    if alpha < 0:
-        raise InputError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise InputError("alpha must be finite and non-negative")
     p = params.flat[_span_and_check(params, grads, parts)]
     grads *= alpha
     p -= grads
@@ -220,8 +220,8 @@ class Adam:
     both moments, the step count and one work vector. Its trainer owns it."""
 
     def __init__(self, params: ParameterSet, parts, lr: float):
-        if lr < 0:
-            raise InputError("beta must be non-negative")
+        if not 0.0 <= lr < math.inf:
+            raise InputError("lr must be finite and non-negative")
         self.params = params
         self.span = params.span(parts)
         self.lr = lr

@@ -1,5 +1,9 @@
 """The one-thread OpenBLAS context around training."""
 
+import builtins
+import ctypes
+import ctypes.util
+
 import pytest
 
 from metareplay import blas
@@ -39,12 +43,31 @@ def test_the_real_count_is_one_in_the_body_and_restored():
     assert get() == before
 
 
-@pytest.mark.parametrize("libraries", [[], ["/nonexistent/libopenblas.so"]],
+def test_the_lookup_reads_no_proc_file(monkeypatch):
+    """The library is found through numpy's own extension, on any OS."""
+    real_open = builtins.open
+
+    def no_proc(file, *args, **kwargs):
+        if str(file).startswith("/proc/"):
+            raise OSError(f"{file} is not readable here")
+        return real_open(file, *args, **kwargs)
+
+    if blas.thread_api() is None:
+        pytest.skip("no OpenBLAS thread API found")
+    monkeypatch.setattr(builtins, "open", no_proc)
+    blas.thread_api.cache_clear()
+    try:
+        assert blas.thread_api() is not None
+    finally:
+        blas.thread_api.cache_clear()
+
+
+@pytest.mark.parametrize("library", [ctypes.util.find_library("m"), "/nonexistent/libopenblas.so"],
                          ids=["none", "unloadable"])
-def test_no_library_found_is_a_no_op(monkeypatch, libraries):
+def test_no_library_found_is_a_no_op(monkeypatch, library):
     real = blas.thread_api()
     before = real[0]() if real else None
-    monkeypatch.setattr(blas, "_openblas_libraries", lambda: libraries)
+    monkeypatch.setattr(blas, "_LINALG", library)
     blas.thread_api.cache_clear()
     try:
         assert blas.thread_api() is None

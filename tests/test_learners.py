@@ -380,11 +380,24 @@ def test_run_returns_params_without_optimizer_state(small_suite, small_schedule,
     assert alive_at_entry == [0] * (2 if method in META_METHODS else 1)
 
 
-@pytest.mark.parametrize("method", ["AGEM", "OML_ER"])
-def test_run_results_do_not_depend_on_the_callers_blas_thread_count(method):
+def _run_result(model, suite, cfg):
+    accs, params, _, trace, _ = run(model, suite, cfg, seed=0)
+    return accs, params, trace
+
+
+def _train_result(model, suite, cfg):
+    params, _, trace = train(model, suite.train, cfg, seed=0)
+    return None, params, trace
+
+
+@pytest.mark.parametrize("entry, method", [
+    pytest.param(entry, method, id=method if entry is _run_result else f"train-{method}")
+    for entry in (_run_result, _train_result) for method in ("AGEM", "OML_ER")])
+def test_run_results_do_not_depend_on_the_callers_blas_thread_count(entry, method):
     """At d=1024 a gradient spans over 10,000 entries, past the size where
     OpenBLAS sums a dot product in an order set by its thread count; the
-    A-GEM projections and alignment samples use such dots."""
+    A-GEM projections and alignment samples use such dots. ``run`` and
+    ``train``, called directly, each pin one thread."""
     api = blas.thread_api()
     if api is None:
         pytest.skip("no OpenBLAS thread API found")
@@ -403,7 +416,7 @@ def test_run_results_do_not_depend_on_the_callers_blas_thread_count(method):
             if get() != threads:
                 pytest.skip(f"OpenBLAS cannot run {threads} threads here")
             model = Classifier(ModelConfig(input_dim=1024, encoder_dims=(16,), num_classes=6))
-            accs, params, _, trace, _ = run(model, suite, cfg, seed=0)
+            accs, params, trace = entry(model, suite, cfg)
             assert get() == threads
             results.append((accs, params.flat.tobytes(),
                             [(a.step, a.dot, a.norm_a, a.norm_b) for a in trace.alignment]))

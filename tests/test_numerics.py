@@ -147,6 +147,17 @@ def test_sgd_step_shape_mismatch_raises():
         sgd_step(_param([1.0, 2.0]), np.zeros(3), 0.1, HEAD)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+def test_a_rate_outside_zero_to_inf_is_rejected_by_name(rate):
+    """The rule ``LearnerConfig`` applies to its rates: finite, non-negative."""
+    params = _param([1.0, 2.0])
+    with pytest.raises(InputError, match="alpha"):
+        sgd_step(params, np.array([0.5, -1.0]), rate, HEAD)
+    with pytest.raises(InputError, match="lr"):
+        Adam(params, HEAD, rate)
+    np.testing.assert_array_equal(params.tensors["p"], [1.0, 2.0])
+
+
 def _reference_adam(p0, grads, beta):
     """Textbook Adam with bias correction, written independently."""
     p = p0.copy()
