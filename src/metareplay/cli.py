@@ -222,7 +222,7 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
         else:
             raise InputError(f"--eps {eps}: no batch in {MAX_GRAD_CHECK_DRAWS} draws keeps "
                              f"every ReLU input more than 20*eps from its kink")
-        parts = set(params.partitions.values())
+        parts = clf.outer_partitions()  # every trained parameter
         _, grads = clf.loss_and_grad(params, batch, parts)
         err = grad_check(params, lambda p: clf.loss_and_grad(p, batch, parts)[0],
                          grads, parts, eps=eps)

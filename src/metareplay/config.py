@@ -283,7 +283,7 @@ def build_model(run_config: RunConfig, suite: Suite) -> Classifier:
     if run_config.dataset_spec is not None:
         config = replace(config, num_classes=suite.num_classes)
     model = Classifier(config)
-    # Reserve (never touch) the flat parameter vector before anything is
+    # Reserve (never touch) room for every parameter before anything is
     # written: a model too large to allocate is bad input, not a failed run.
     size = sum(math.prod(shape) for shape, _ in model.param_shapes().values())
     try:

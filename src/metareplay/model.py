@@ -12,7 +12,7 @@ Each network is stated once, as stacks of (layer name, partition): the
 encoder, ANML's NM network and the head. One forward helper runs a stack;
 the backward pass walks each stack down with one helper and forms an input
 gradient only while a requested partition lies below it, so inner loops can
-request gradients for any contiguous set of parameter partitions.
+request gradients for any contiguous set of trained partitions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ NM_OUTPUT_BIAS = 2.0
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int
-    encoder_dims: tuple = (64,)
+    encoder_dims: tuple = (32,)
     num_classes: int = 2
     architecture: str = "OML"
     nm_hidden_dim: int = 32

@@ -41,35 +41,36 @@ class NumericalError(ArithmeticError):
 
 
 class ParameterSet:
-    """Named parameter tensors stored as views into one float64 vector.
+    """Named parameter tensors; the trained ones are views into one float64 vector.
 
-    ``flat`` is laid out in sorted-name order with ``NM_FROZEN`` parameters
-    last, so every partition set a model trains (inner, outer, all) is one
+    ``flat`` holds every parameter outside ``NM_FROZEN`` in sorted-name
+    order, so every partition set a model trains (inner, outer) is one
     contiguous slice, its ``span``; a gradient is one vector over a span.
-    ``tensors`` maps each name to a reshaped view into ``flat`` and keeps the
-    caller's insertion order, in which checkpoints are written. A clone's
-    ``flat`` ends where the ``NM_FROZEN`` parameters begin (see ``clone``).
+    ``NM_FROZEN`` tensors are constants kept beside ``flat``: no span holds
+    them. ``tensors`` maps each name to its tensor and keeps the caller's
+    insertion order, in which checkpoints are written.
     """
 
     def __init__(self, tensors: dict, partitions: dict):
         if set(tensors) != set(partitions):
             raise InputError("every parameter needs exactly one partition label")
-        order = sorted(tensors, key=lambda n: (partitions[n] == Partition.NM_FROZEN, n))
         slots, start = {}, 0
-        for name in order:
+        for name in sorted(n for n in tensors if partitions[n] != Partition.NM_FROZEN):
             shape = np.shape(tensors[name])
             stop = start + math.prod(shape)
             slots[name], start = (start, stop, shape), stop
         self.partitions = dict(partitions)
-        self._slots = {n: slots[n] for n in tensors}
-        # The length of the trainable prefix of ``flat``: everything before NM_FROZEN.
-        self._trainable = min((slots[n][0] for n in order
-                               if partitions[n] == Partition.NM_FROZEN), default=start)
+        self._slots = slots
         self._layouts: dict = {}
         self.flat = np.empty(start)
-        self.tensors = self.views(self.flat, self.partitions.values())
+        self.tensors = {}
         for name, t in tensors.items():
-            self.tensors[name][...] = t
+            if name in slots:
+                a, b, shape = slots[name]
+                self.tensors[name] = self.flat[a:b].reshape(shape)
+                self.tensors[name][...] = t
+            else:
+                self.tensors[name] = np.array(t, dtype=np.float64)
 
     def layout(self, parts) -> tuple:
         """(span, {name: (start, stop, shape) relative to the span}) of ``parts``.
@@ -80,6 +81,9 @@ class ParameterSet:
         key = frozenset(parts)
         layout = self._layouts.get(key)
         if layout is None:
+            if Partition.NM_FROZEN in key:
+                raise InputError(f"partitions {sorted(key)} include NM_FROZEN, "
+                                 "which no span holds")
             bounds = sorted(s[:2] for n, s in self._slots.items()
                             if self.partitions[n] in key)
             if not bounds:
@@ -102,24 +106,20 @@ class ParameterSet:
                 for n, (a, b, shape) in self.layout(parts)[1].items()}
 
     def clone(self) -> "ParameterSet":
-        """A copy of the trainable parameters; inner-loop working copies are clones.
-
-        The clone's ``flat`` is a copy of the trainable prefix only, so every
-        trainable span keeps its offsets; its ``NM_FROZEN`` tensors are
-        read-only views of this set's, which no loop writes.
-        """
+        """A copy of ``flat``; inner-loop working copies are clones. The
+        clone's ``NM_FROZEN`` tensors are read-only views of this set's."""
         twin = object.__new__(ParameterSet)
         twin.partitions = self.partitions
         twin._slots = self._slots
         twin._layouts = self._layouts
-        twin._trainable = n = self._trainable
-        twin.flat = self.flat[:n].copy()
+        twin.flat = self.flat.copy()
         twin.tensors = {}
-        for name, (a, b, shape) in self._slots.items():
-            if b <= n:
+        for name, t in self.tensors.items():
+            if name in self._slots:
+                a, b, shape = self._slots[name]
                 twin.tensors[name] = twin.flat[a:b].reshape(shape)
             else:
-                twin.tensors[name] = frozen = self.tensors[name].view()
+                twin.tensors[name] = frozen = t.view()
                 frozen.flags.writeable = False
         return twin
 
@@ -193,9 +193,6 @@ ADAM_EPS = 1e-8
 
 def _span_and_check(params: ParameterSet, grads: np.ndarray, parts) -> slice:
     span = params.span(parts)
-    if span.stop > params.flat.size:
-        raise InputError(f"partitions {sorted(parts)} run past this set's flat vector: "
-                         "a clone holds no NM_FROZEN parameters")
     if np.shape(grads) != (span.stop - span.start,):
         raise InputError(f"gradient shape {np.shape(grads)} does not match span {span}")
     return span

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from metareplay.cli import main, run_grad_check_suite, schedule_info
 from metareplay.config import build_model, build_suite, load_config, parse_config
 from metareplay.learners import run as run_learner
+from metareplay.model import ModelConfig
 from metareplay.numerics import InputError
 
 
@@ -43,6 +44,12 @@ def test_parse_minimal_config_fills_defaults():
     assert rc.learner.schedule.batch_size == 8
     assert rc.orders == [[0, 1, 2]]
     assert rc.suite_spec["kind"] == "BALANCED"
+
+
+def test_config_without_a_model_section_builds_the_default_model_config():
+    """The schema's model defaults are ModelConfig's: the same encoder and NM widths."""
+    rc = parse_config(_minimal(method="ANML_ER"))
+    assert rc.model == ModelConfig(input_dim=5, num_classes=6, architecture="ANML")
 
 
 def test_unknown_keys_rejected_at_any_depth():
@@ -674,11 +681,15 @@ def test_cli_baseline_with_anml_model_writes_gate_fields(tmp_path):
 _CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
 
 
-@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL", "hashed_text"])
+@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL", "SEQ", "REPLAY", "MAML_ER",
+                                    "REPLAY_imbalanced", "hashed_text"])
 def test_cli_output_bytes_match_committed_files(tmp_path, monkeypatch, method):
     """metrics.jsonl and summary.jsonl, byte for byte: ANML_ER fills the gate
-    fields, AGEM the violations, and MTL runs without a memory. hashed_text
-    runs OML_ER over the .tsv files beside its config (paths relative to it):
+    fields, AGEM the violations, and MTL runs without a memory; SEQ, REPLAY
+    and MAML_ER run the same suite. REPLAY_imbalanced is shaped like the
+    replay-heavy benchmark: an IMBALANCED suite, p_write 0.1 and replays
+    that ask for 160 examples of a memory that holds about 60. hashed_text runs
+    OML_ER over the .tsv files beside its config (paths relative to it):
     punctuation, blank lines and non-ASCII lines, hashed to 64 buckets with
     truncation."""
     expected = _CLI_OUTPUTS / method

@@ -28,8 +28,9 @@ def test_flatten_is_sorted_by_key():
     assert sorted(named) == ["enc0.W", "enc0.b", "enc1.W", "enc1.b", "head.W", "head.b",
                              "nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"]
     np.testing.assert_array_equal(g, np.concatenate([named[k].ravel() for k in sorted(named)]))
-    # Every parameter: sorted names, the frozen NM projection last.
-    order = sorted(params.tensors, key=lambda n: (n.startswith("nm_in"), n))
+    # Every trained parameter, in sorted-name order; the frozen NM projection
+    # is kept beside ``flat``.
+    order = sorted(n for n in params.tensors if not n.startswith("nm_in"))
     np.testing.assert_array_equal(
         params.flat, np.concatenate([params.tensors[k].ravel() for k in order]))
     assert params.partitions["nm_in.W"] == Partition.NM_FROZEN

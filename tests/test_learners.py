@@ -21,6 +21,7 @@ from metareplay.learners import (
 )
 from metareplay.model import Classifier, ModelConfig
 from metareplay.numerics import InputError, LossMode, ParameterSet, Partition
+from metareplay.rngs import named_rngs
 from metareplay.stream import BatchStream, Suite, TaskSpec, make_synthetic_suite, split_tasks
 
 RNG = np.random.default_rng(23)
@@ -107,6 +108,18 @@ def test_inner_adapt_touches_only_inner_partitions():
     # The originals are never modified by adaptation.
     fresh = clf.init_params(np.random.default_rng(0))
     np.testing.assert_array_equal(params.tensors["head.W"], fresh.tensors["head.W"])
+
+
+def test_anml_er_run_returns_the_frozen_projection_as_drawn(small_suite, small_schedule):
+    """ANML's first NM projection is a constant: a whole ANML_ER run returns
+    it bit-equal to the ``init_params`` draw, while the NM layers above it train."""
+    clf = Classifier(ModelConfig(input_dim=6, encoder_dims=(8,), num_classes=6,
+                                 architecture="ANML", nm_hidden_dim=5))
+    _, params, *_ = run(clf, small_suite, LearnerConfig("ANML_ER", small_schedule), seed=0)
+    drawn = clf.init_params(named_rngs(0)["init"])
+    for name in ("nm_in.W", "nm_in.b"):
+        assert params.tensors[name].tobytes() == drawn.tensors[name].tobytes(), name
+    assert not np.array_equal(params.tensors["nm_mid.W"], drawn.tensors["nm_mid.W"])
 
 
 def test_inner_adapt_requires_support():
@@ -453,7 +466,8 @@ def test_training_at_d2048_holds_the_arrays_of_one_step(method):
     params = model.init_params(np.random.default_rng(0))
     trainable = params.span(model.outer_partitions()).stop * 8
     batch = b * dim * 8
-    held = params.flat.nbytes + 4 * trainable + batch  # Adam's 3 vectors, 1 gradient
+    held = sum(t.nbytes for t in params.tensors.values())  # every parameter
+    held += 4 * trainable + batch  # Adam's 3 vectors, 1 gradient
     if method in META_METHODS:  # the clone and the episode's other m batches
         held += trainable + m * batch
     assert peak < held + 0.25 * 2**20

@@ -105,7 +105,8 @@ def test_param_shapes_describe_init_params(arch):
     shapes = clf.param_shapes()
     assert list(shapes) == list(params.tensors)  # checkpoint order
     assert {n: (t.shape, params.partitions[n]) for n, t in params.tensors.items()} == shapes
-    assert params.flat.size == sum(np.prod(shape) for shape, _ in shapes.values())
+    assert params.flat.size == sum(np.prod(shape) for shape, part in shapes.values()
+                                   if part != Partition.NM_FROZEN)
 
 
 def test_gradients_respect_partition_filter():

@@ -391,24 +391,20 @@ def test_clone_copies_one_buffer():
 def test_clone_copies_the_trainable_span_and_shares_frozen_tensors_read_only():
     clf, params = _anml_params()
     twin = params.clone()
-    trainable = params.span(set(Partition) - {Partition.NM_FROZEN})
-    assert trainable.start == 0 and twin.flat.size == trainable.stop < params.flat.size
+    # ``flat`` is the trainable span: every parameter outside NM_FROZEN.
+    assert params.span(clf.outer_partitions()) == slice(0, params.flat.size)
+    np.testing.assert_array_equal(twin.flat, params.flat)
+    assert not np.shares_memory(twin.flat, params.flat)
     for name, part in params.partitions.items():
         tensor = twin.tensors[name]
         np.testing.assert_array_equal(tensor, params.tensors[name])
         if part == Partition.NM_FROZEN:
-            assert np.shares_memory(tensor, params.flat)
+            assert np.shares_memory(tensor, params.tensors[name])
+            assert not np.shares_memory(tensor, params.flat)
             with pytest.raises(ValueError, match="read-only"):
                 tensor += 1.0
         else:
-            assert not np.shares_memory(tensor, params.flat)
             assert np.shares_memory(tensor, twin.flat)
-    frozen = {Partition.NM_FROZEN}
-    grads = np.ones(params.span(frozen).stop - params.span(frozen).start)
-    with pytest.raises(InputError, match="past"):
-        sgd_step(twin, grads, 0.1, frozen)
-    with pytest.raises(InputError, match="past"):
-        grad_check(twin, lambda p: 0.0, grads, frozen)
     # Every trainable partition set steps the clone as it steps the source.
     for parts in (clf.inner_partitions(), clf.outer_partitions()):
         span = params.span(parts)
@@ -416,4 +412,25 @@ def test_clone_copies_the_trainable_span_and_shares_frozen_tensors_read_only():
         stepped = sgd_step(params.clone(), g.copy(), 0.1, parts).flat
         expected = params.flat.copy()
         expected[span] -= 0.1 * g
-        np.testing.assert_array_equal(stepped, expected[:trainable.stop])
+        np.testing.assert_array_equal(stepped, expected)
+
+
+@pytest.mark.parametrize("clone", [False, True], ids=["source", "clone"])
+@pytest.mark.parametrize("parts", [{Partition.NM_FROZEN}, {Partition.NM, Partition.NM_FROZEN}],
+                         ids=["frozen", "nm-and-frozen"])
+def test_no_span_holds_a_frozen_tensor(parts, clone):
+    """Every call that forms a span over NM_FROZEN is rejected, on a source
+    set as on a clone, and leaves every parameter as it was."""
+    _, params = _anml_params()
+    target = params.clone() if clone else params
+    before = {n: t.copy() for n, t in target.tensors.items()}
+    grads = np.ones(params.flat.size)
+    calls = [lambda: target.span(parts),
+             lambda: sgd_step(target, grads.copy(), 0.1, parts),
+             lambda: grad_check(target, lambda p: 0.0, grads.copy(), parts),
+             lambda: Adam(target, parts, 0.1)]
+    for call in calls:
+        with pytest.raises(InputError, match="NM_FROZEN"):
+            call()
+    for name, t in target.tensors.items():
+        np.testing.assert_array_equal(t, before[name], err_msg=name)
