@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,64 +20,50 @@ from .stream import FeaturizerConfig, Suite, load_text_tasks, make_synthetic_sui
 
 _REQUIRED = object()
 
-# section -> key -> default (_REQUIRED means the key must be present)
+# section -> key -> (value type, default). _REQUIRED means the key must be
+# present, and a None default also accepts null. A one-element list type
+# means "a list of".
 _SCHEMA = {
-    "method": _REQUIRED,
+    "method": (str, _REQUIRED),
     "model": {
-        "encoder_dims": [32],
-        "architecture": None,  # derived from the method when omitted
-        "nm_hidden_dim": 32,
+        "encoder_dims": ([int], [32]),
+        "architecture": (str, None),  # derived from the method when omitted
+        "nm_hidden_dim": (int, 32),
     },
     "schedule": {
-        "batch_size": 16,
-        "support_size": 5,
-        "replay_interval": 1920,
-        "replay_rate": 0.01,
+        "batch_size": (int, 16),
+        "support_size": (int, 5),
+        "replay_interval": (int, 1920),
+        "replay_rate": (float, 0.01),
     },
-    "learning": {"inner_lr": 0.008, "outer_lr": 0.025, "epochs": 1},
-    "memory": {"p_write": 1.0},
-    "ablations": {"no_replay": False, "no_meta_test_finetune": False},
-    "orders": None,  # list of task-order permutations; default: one identity order
-    "seeds": [0, 1, 2],
-    "combined_test": False,
-    "record_alignment": False,
-    "save_checkpoints": False,
+    "learning": {"inner_lr": (float, 0.008), "outer_lr": (float, 0.025), "epochs": (int, 1)},
+    "memory": {"p_write": (float, 1.0)},
+    "ablations": {"no_replay": (bool, False), "no_meta_test_finetune": (bool, False)},
+    "orders": ([[int]], None),  # list of task-order permutations; default: one identity order
+    "seeds": ([int], [0, 1, 2]),
+    "combined_test": (bool, False),
+    "record_alignment": (bool, False),
+    "save_checkpoints": (bool, False),
 }
 
 # The data sections; a config names exactly one, and only that one is built.
 _DATA = {
     "suite": {
-        "kind": "BALANCED",
-        "num_tasks": 5,
-        "classes_per_task": 2,
-        "examples_per_class": 1000,
-        "test_per_class": 250,
-        "input_dim": 10,
-        "seed": 7,
-        "separation": 4.0,
+        "kind": (str, "BALANCED"),
+        "num_tasks": (int, 5),
+        "classes_per_task": (int, 2),
+        "examples_per_class": (int, 1000),
+        "test_per_class": (int, 250),
+        "input_dim": (int, 10),
+        "seed": (int, 7),
+        "separation": (float, 4.0),
     },
     "dataset": {
-        "train_files": _REQUIRED,
-        "test_files": _REQUIRED,
-        "featurizer": {"dim": 2048, "truncate": None, "l2_normalize": True},
+        "train_files": ([str], _REQUIRED),
+        "test_files": ([str], _REQUIRED),
+        "featurizer": {"dim": (int, 2048), "truncate": (int, None), "l2_normalize": (bool, True)},
     },
 }
-
-# Value types of the keys whose default shows none: required keys and None
-# defaults (which also accept null). A one-element list means "a list of".
-_TYPES = {
-    "method": str,
-    "dataset.train_files": [str],
-    "dataset.test_files": [str],
-    "dataset.featurizer.truncate": int,
-    "model.architecture": str,
-    "orders": [[int]],
-}
-
-
-def _type_of(default):
-    """The value type a default stands for; a list's from its first entry."""
-    return [_type_of(default[0])] if isinstance(default, list) else type(default)
 
 
 def _matches(value, expected) -> bool:
@@ -107,27 +93,27 @@ def _apply_schema(raw: dict, schema: dict, path: str = "") -> dict:
     out = {}
     for key, spec in schema.items():
         # An absent key takes its default; an absent section, its defaults.
-        name, value = path + key, raw.get(key, {} if isinstance(spec, dict) else spec)
+        name, value = path + key, raw.get(key, {} if isinstance(spec, dict) else spec[1])
         if isinstance(spec, dict):
             if not isinstance(value, dict):
                 raise InputError(f"config key {name} must be a mapping")
             value = _apply_schema(value, spec, name + ".")
         elif value is _REQUIRED:
             raise InputError(f"missing required config key: {name}")
-        elif key in raw:
-            expected = _TYPES.get(name) or _type_of(spec)
-            if not (value is None and spec is None or _matches(value, expected)):
-                raise InputError(f"config key {name} must be of type "
-                                 f"{_describe(expected)}, got {value!r}")
+        elif key in raw and not (value is None and spec[1] is None or _matches(value, spec[0])):
+            raise InputError(f"config key {name} must be of type "
+                             f"{_describe(spec[0])}, got {value!r}")
         out[key] = value
     return out
 
 
 @dataclass
 class RunConfig:
-    """Validated experiment configuration."""
+    """Validated experiment configuration. ``model`` holds the model
+    section's keys, its architecture resolved from the method; its sizes
+    come from the suite (``build_model``)."""
 
-    model: ModelConfig
+    model: dict
     learner: LearnerConfig
     orders: list
     seeds: list
@@ -150,8 +136,9 @@ def _reject_repeats(key: str, values: list) -> None:
 
 def parse_config(raw: dict) -> RunConfig:
     """Check a raw config's keys, types and cross-key rules, and build only
-    the data section it names. What needs the data or the model's size is
-    checked by ``build_suite`` and ``build_model``, still before training."""
+    the data section it names. What needs the data is checked by
+    ``build_suite``, and the model section by ``build_model`` once the data
+    has sized it, both still before anything is written."""
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
     sources = [key for key in _DATA if key in raw]
@@ -168,15 +155,13 @@ def parse_config(raw: dict) -> RunConfig:
             raise InputError("suite.test_per_class must be >= 1: accuracy needs a test set")
         if spec["examples_per_class"] < 1:
             raise InputError("suite.examples_per_class must be >= 1")
-        input_dim, num_tasks = spec["input_dim"], spec["num_tasks"]
-        num_classes = num_tasks * spec["classes_per_task"]
+        num_tasks = spec["num_tasks"]
     else:
         if len(spec["train_files"]) != len(spec["test_files"]):
             raise InputError("train_files and test_files must pair up per task")
         if not spec["train_files"]:
             raise InputError("dataset needs at least one task file")
-        input_dim, num_tasks = spec["featurizer"]["dim"], len(spec["train_files"])
-        num_classes = 2  # replaced by the loaded label count in build_model
+        num_tasks = len(spec["train_files"])
     if not cfg["seeds"] or min(cfg["seeds"]) < 0:
         raise InputError("seeds must be a non-empty list of non-negative integers")
     _reject_repeats("seeds", cfg["seeds"])
@@ -190,14 +175,8 @@ def parse_config(raw: dict) -> RunConfig:
         **cfg["learning"], **cfg["memory"], **cfg["ablations"],
     )
 
-    arch = cfg["model"]["architecture"] or architecture_for(learner.method)
-    model = ModelConfig(
-        input_dim=input_dim,
-        encoder_dims=tuple(cfg["model"]["encoder_dims"]),
-        num_classes=num_classes,
-        architecture=arch,
-        nm_hidden_dim=cfg["model"]["nm_hidden_dim"],
-    )
+    model = dict(cfg["model"], encoder_dims=tuple(cfg["model"]["encoder_dims"]),
+                 architecture=cfg["model"]["architecture"] or architecture_for(learner.method))
 
     orders = cfg["orders"] or [list(range(num_tasks))]
     for order in orders:
@@ -279,9 +258,10 @@ def build_suite(run_config: RunConfig) -> Suite:
 
 
 def build_model(run_config: RunConfig, suite: Suite) -> Classifier:
-    config = run_config.model
-    if run_config.dataset_spec is not None:
-        config = replace(config, num_classes=suite.num_classes)
+    """The configured model, sized from ``suite``: its input width is the
+    train split's feature width, and its class count ``suite.num_classes``."""
+    config = ModelConfig(input_dim=suite.train[0].features.shape[-1],
+                         num_classes=suite.num_classes, **run_config.model)
     model = Classifier(config)
     # Reserve (never touch) room for every parameter before anything is
     # written: a model too large to allocate is bad input, not a failed run.

@@ -315,6 +315,8 @@ def make_synthetic_suite(
     """
     if num_tasks < 2:
         raise InputError("need at least 2 tasks")
+    if min(classes_per_task, input_dim) < 1:
+        raise InputError("classes_per_task and input_dim must be >= 1")
     if kind not in ("BALANCED", "IMBALANCED"):
         raise InputError(f"unknown suite kind {kind!r}")
     if seed < 0:
@@ -340,6 +342,9 @@ def make_synthetic_suite(
         shares[big], shares[second] = 0.5, 0.2
         task_sizes = np.maximum((shares * total).astype(int), classes_per_task)
         task_sizes[big] += total - int(task_sizes.sum())  # keep the total budget
+        if task_sizes[big] < classes_per_task:  # a class of it would never be trained
+            raise InputError(f"an IMBALANCED budget of {total} examples is too small: its dominant "
+                             f"task would get {task_sizes[big]} for its {classes_per_task} classes")
         task_sizes = task_sizes.tolist()
 
     # One train split and one test split, filled task by task with the draws

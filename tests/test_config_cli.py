@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry points."""
 
+import dataclasses
 import io
 import json
 import math
@@ -19,9 +20,11 @@ from hypothesis import strategies as st
 
 from metareplay.cli import main, run_grad_check_suite, schedule_info
 from metareplay.config import build_model, build_suite, load_config, parse_config
+from metareplay.learners import LearnerConfig
 from metareplay.learners import run as run_learner
 from metareplay.model import ModelConfig
 from metareplay.numerics import InputError
+from metareplay.stream import FeaturizerConfig
 
 
 def _minimal(method="SEQ", **over):
@@ -40,16 +43,37 @@ def _minimal(method="SEQ", **over):
 def test_parse_minimal_config_fills_defaults():
     rc = parse_config(_minimal())
     assert rc.learner.method == "SEQ"
-    assert rc.model.encoder_dims == (32,)
+    assert rc.model["encoder_dims"] == (32,)
     assert rc.learner.schedule.batch_size == 8
     assert rc.orders == [[0, 1, 2]]
     assert rc.suite_spec["kind"] == "BALANCED"
 
 
 def test_config_without_a_model_section_builds_the_default_model_config():
-    """The schema's model defaults are ModelConfig's: the same encoder and NM widths."""
+    """The schema's model defaults are ModelConfig's: the same encoder and NM
+    widths; the input width and class count are the suite's."""
     rc = parse_config(_minimal(method="ANML_ER"))
-    assert rc.model == ModelConfig(input_dim=5, num_classes=6, architecture="ANML")
+    assert build_model(rc, build_suite(rc)).config == ModelConfig(
+        input_dim=5, num_classes=6, architecture="ANML")
+
+
+def test_every_schema_default_is_its_config_field_default():
+    """A default the schema states is also the default of the dataclass
+    field it fills, so a config and a direct library call agree (the
+    encoder width once differed). A null architecture is the method's."""
+    from metareplay.config import _DATA, _SCHEMA
+
+    filled = {
+        LearnerConfig: {**_SCHEMA["learning"], **_SCHEMA["memory"], **_SCHEMA["ablations"],
+                        "record_alignment": _SCHEMA["record_alignment"]},
+        ModelConfig: {k: v for k, v in _SCHEMA["model"].items() if k != "architecture"},
+        FeaturizerConfig: _DATA["dataset"]["featurizer"],
+    }
+    for cls, schema in filled.items():
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for key, (_, default) in schema.items():
+            assert defaults[key] == (tuple(default) if isinstance(default, list) else default), \
+                f"{cls.__name__}.{key}"
 
 
 def test_unknown_keys_rejected_at_any_depth():
@@ -98,9 +122,9 @@ def test_empty_orders_list_is_rejected():
 
 
 def test_architecture_follows_method():
-    assert parse_config(_minimal(method="ANML_ER")).model.architecture == "ANML"
-    assert parse_config(_minimal(method="OML_ER")).model.architecture == "OML"
-    assert parse_config(_minimal(method="REPLAY")).model.architecture == "OML"
+    assert parse_config(_minimal(method="ANML_ER")).model["architecture"] == "ANML"
+    assert parse_config(_minimal(method="OML_ER")).model["architecture"] == "OML"
+    assert parse_config(_minimal(method="REPLAY")).model["architecture"] == "OML"
 
 
 def test_epochs_only_for_mtl():
@@ -336,7 +360,7 @@ def test_value_types_follow_the_defaults():
         return parse_config(_minimal(**over))
 
     assert parsed(learning={"outer_lr": 1}).learner.outer_lr == 1  # int for a float
-    assert parsed(model={"architecture": None}).model.architecture == "OML"
+    assert parsed(model={"architecture": None}).model["architecture"] == "OML"
     assert parsed(orders=None).orders == [[0, 1, 2]]
     for bad in ({"learning": {"epochs": True}},        # a bool is not an int
                 {"learning": {"epochs": 1.0}},         # nor is a float
@@ -401,6 +425,19 @@ def test_cli_missing_dataset_file_exits_2(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(_dataset_config(tmp_path, train_text=None)))
     _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+
+
+def test_cli_model_fault_is_named_after_the_data_faults(tmp_path, capsys):
+    """The suite sizes the model, so a data fault is named first; a model
+    fault still exits 2 before anything is written."""
+    cfg = {**_dataset_config(tmp_path, train_text=None), "model": {"architecture": "XYZ"}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert "train.tsv" in capsys.readouterr().err
+    (tmp_path / "train.tsv").write_text("0\tworda common\n1\twordb common\n")
+    _run_exits_2_and_writes_nothing(tmp_path, cfg_path)
+    assert capsys.readouterr().err == "error: unknown architecture 'XYZ'\n"
 
 
 def test_cli_dataset_file_not_utf8_exits_2(tmp_path):
@@ -662,6 +699,17 @@ def test_cli_empty_orders_exits_2(tmp_path, capsys):
     assert "orders must be a non-empty list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("num_tasks", [50, 10, 9])
+def test_cli_imbalanced_budget_too_small_exits_2(tmp_path, capsys, num_tasks):
+    """Once a negative task size, an empty task, and (at 9 tasks) a silent
+    run that never trained one class of the dominant task."""
+    suite = {"kind": "IMBALANCED", "num_tasks": num_tasks, "examples_per_class": 1,
+             "test_per_class": 1, "input_dim": 3}
+    _run_exits_2_and_writes_nothing(tmp_path, _cli_config(tmp_path, suite=suite))
+    assert f"IMBALANCED budget of {2 * num_tasks} examples is too small" in \
+        capsys.readouterr().err
+
+
 def test_cli_config_inside_its_out_directory_runs(tmp_path):
     cfg_path = _cli_config(tmp_path)
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
@@ -682,22 +730,27 @@ _CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
 
 
 @pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL", "SEQ", "REPLAY", "MAML_ER",
-                                    "REPLAY_imbalanced", "hashed_text"])
+                                    "REPLAY_imbalanced", "AGEM_imbalanced",
+                                    "OML_ER_imbalanced", "hashed_text", "AGEM_hashed_text"])
 def test_cli_output_bytes_match_committed_files(tmp_path, monkeypatch, method):
     """metrics.jsonl and summary.jsonl, byte for byte: ANML_ER fills the gate
     fields, AGEM the violations, and MTL runs without a memory; SEQ, REPLAY
-    and MAML_ER run the same suite. REPLAY_imbalanced is shaped like the
-    replay-heavy benchmark: an IMBALANCED suite, p_write 0.1 and replays
+    and MAML_ER run the same suite. The *_imbalanced cases are shaped like
+    the replay-heavy benchmark: an IMBALANCED suite, p_write 0.1 and replays
     that ask for 160 examples of a memory that holds about 60. hashed_text runs
     OML_ER over the .tsv files beside its config (paths relative to it):
     punctuation, blank lines and non-ASCII lines, hashed to 64 buckets with
-    truncation."""
+    truncation; AGEM_hashed_text runs A-GEM over the same files, so it
+    projects against a memory of hashed rows. A case that commits
+    events.jsonl runs with --debug-traces, and its events match too."""
     expected = _CLI_OUTPUTS / method
     monkeypatch.chdir(expected)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(expected / "config.json"), "--out", str(out)]) == 0
+    traces = ["--debug-traces"] * any(expected.rglob("events.jsonl"))
+    assert main(["run", "--config", str(expected / "config.json"), "--out", str(out),
+                 *traces]) == 0
     files = sorted(p.relative_to(expected) for p in expected.rglob("*.jsonl"))
-    assert len(files) == 5  # 2 orders x 2 seeds, and the summary
+    assert len(files) == 5 + 4 * len(traces)  # 2 orders x 2 seeds, and the summary
     for name in files:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 

@@ -570,11 +570,40 @@ def test_imbalanced_suite_budget_and_balanced_tests():
         assert task.size == 500  # test splits stay balanced
 
 
+@pytest.mark.parametrize("num_tasks, dominant", [(50, -16), (10, 0), (9, 1)])
+def test_imbalanced_budget_too_small_for_the_dominant_task_is_rejected(num_tasks, dominant):
+    """At one example per class, the other tasks each keep at least one row
+    per class, and what is left of the budget leaves the dominant task fewer
+    rows than its two classes: a negative size, none, or one."""
+    message = (f"^an IMBALANCED budget of {2 * num_tasks} examples is too small: its dominant "
+               f"task would get {dominant} for its 2 classes$")
+    with pytest.raises(InputError, match=message):
+        make_synthetic_suite("IMBALANCED", num_tasks, 2, 1, 3, seed=0)
+
+
+def test_every_accepted_imbalanced_suite_trains_every_class():
+    for num_tasks in range(2, 13):
+        for classes_per_task in (1, 2, 3):
+            for examples_per_class in (1, 2, 3):
+                try:
+                    suite = make_synthetic_suite("IMBALANCED", num_tasks, classes_per_task,
+                                                 examples_per_class, 2, seed=0)
+                except InputError:
+                    continue
+                assert suite.num_classes == num_tasks * classes_per_task
+                for t, task in enumerate(suite.train):
+                    assert set(task.labels.tolist()) == set(range(
+                        t * classes_per_task, (t + 1) * classes_per_task))
+
+
 def test_suite_validation():
     with pytest.raises(InputError):
         make_synthetic_suite("BALANCED", 1, 2, 10, 3, seed=0)
     with pytest.raises(InputError):
         make_synthetic_suite("WEIRD", 3, 2, 10, 3, seed=0)
+    for classes_per_task, input_dim in ((0, 3), (2, 0)):
+        with pytest.raises(InputError, match="^classes_per_task and input_dim must be >= 1$"):
+            make_synthetic_suite("BALANCED", 3, classes_per_task, 10, input_dim, seed=0)
 
 
 def test_suite_is_reproducible():
