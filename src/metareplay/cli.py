@@ -196,7 +196,7 @@ def run_grad_check_suite(trials: int = 100, seed: int = 0, eps: float = 1e-4,
     def min_preactivation(clf, params, batch):
         """Smallest |z| over all ReLU inputs; central differences are only
         trustworthy when no unit sits within eps of the kink."""
-        _, cache = clf._scores(params, batch.features)
+        _, cache = clf._forward(params, batch.features)
         records = cache["encoder"] + cache.get("nm", [])[:-1]  # the NM top feeds a sigmoid
         return min(np.abs(z).min() for _, z in records)
 

@@ -244,6 +244,8 @@ def build_suite(run_config: RunConfig) -> Suite:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return make_synthetic_suite(**run_config.suite_spec)
+        except InputError as exc:
+            raise InputError(f"suite: {exc}") from exc
         except (FloatingPointError, MemoryError, ValueError) as exc:
             raise InputError(f"suite: {exc} while building the synthetic suite") from exc
     d = run_config.dataset_spec

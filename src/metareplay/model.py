@@ -153,23 +153,28 @@ class Classifier:
     # -- forward ------------------------------------------------------------
 
     def _forward(self, params: ParameterSet, x: np.ndarray):
-        """Logits and a cache of each stack's layer records (see ``_run_stack``),
-        plus the representation and the gate where the NM network gates it."""
+        """Per-example scores and a cache of each stack's layer records (see
+        ``_run_stack``), plus the representation and the gate where the NM
+        network gates it. Scores are the (n, C) logits of (n, d) features, or
+        in CANDIDATE_BCE mode the (n, K) pair scores of (n, K, d) features,
+        whose pair rows run through the network as one (n*K, d) matrix."""
         cfg = self.config
-        if x.ndim != 2 or x.shape[1] != cfg.input_dim:
-            raise InputError(
-                f"expected features of dimension {cfg.input_dim}, got {x.shape}"
-            )
+        candidates = cfg.loss_mode == LossMode.CANDIDATE_BCE
+        if x.ndim != 2 + candidates or x.shape[-1] != cfg.input_dim:
+            shape = "(n, K, d)" if candidates else "(n, d)"
+            raise InputError(f"expected {shape} features with d = {cfg.input_dim}, got {x.shape}")
+        rows = x.reshape(-1, cfg.input_dim) if candidates else x
         t = params.tensors
-        cache = {"encoder": _run_stack(t, self._encoder, x)}
+        cache = {"encoder": _run_stack(t, self._encoder, rows)}
         h = relu(cache["encoder"][-1][1])
         if self._nm:
-            cache["nm"] = _run_stack(t, self._nm, x)
+            cache["nm"] = _run_stack(t, self._nm, rows)
             cache["rep"] = h
             cache["gate"] = gate = sigmoid(cache["nm"][-1][1])
             h = h * gate
         cache["head"] = _run_stack(t, self._head, h)
-        return cache["head"][0][1], cache
+        logits = cache["head"][0][1]
+        return (logits.reshape(x.shape[:2]) if candidates else logits), cache
 
     def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray,
                   parts: frozenset):
@@ -212,17 +217,6 @@ class Classifier:
             walk(self._encoder, records, relu_backward(records[-1][1], dh))
         return flat
 
-    def _scores(self, params: ParameterSet, x: np.ndarray):
-        """Forward pass to per-example scores: (n, C) logits, or in
-        CANDIDATE_BCE mode the (n, K) pair scores of (n, K, d) features,
-        whose pair rows run through the network as one (n*K, d) matrix."""
-        if self.config.loss_mode != LossMode.CANDIDATE_BCE:
-            return self._forward(params, x)
-        if x.ndim != 3:
-            raise InputError(f"candidate features must be (n, K, d), got {x.shape}")
-        logits, cache = self._forward(params, x.reshape(-1, x.shape[-1]))
-        return logits.reshape(x.shape[:2]), cache
-
     # -- public API ---------------------------------------------------------
 
     def predict(self, params: ParameterSet, batch):
@@ -231,7 +225,7 @@ class Classifier:
         Scores are (n, C) class logits, or (n, K) candidate scores in
         CANDIDATE_BCE mode; either way the prediction is the row argmax.
         """
-        scores, cache = self._scores(params, batch.features)
+        scores, cache = self._forward(params, batch.features)
         gate = GateRecord(cache["gate"]) if "gate" in cache else None
         return scores, gate
 
@@ -243,7 +237,7 @@ class Classifier:
             raise InputError("partition filter is empty")
         if len(batch) == 0:
             raise InputError("empty batch")
-        scores, cache = self._scores(params, batch.features)
+        scores, cache = self._forward(params, batch.features)
         if self.config.loss_mode == LossMode.CANDIDATE_BCE:
             # One BCE term per (input, candidate) pair; only the true one is 1.
             n, k = scores.shape

@@ -200,6 +200,8 @@ class HashedRows:
         return out
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("densifying HashedRows always copies, so copy=False cannot be met")
         return self.take(np.arange(self.shape[0]))
 
 

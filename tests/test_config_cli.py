@@ -729,28 +729,25 @@ def test_cli_baseline_with_anml_model_writes_gate_fields(tmp_path):
 _CLI_OUTPUTS = Path(__file__).parent / "data" / "cli_outputs"
 
 
-@pytest.mark.parametrize("method", ["ANML_ER", "AGEM", "MTL", "SEQ", "REPLAY", "MAML_ER",
-                                    "REPLAY_imbalanced", "AGEM_imbalanced",
-                                    "OML_ER_imbalanced", "hashed_text", "AGEM_hashed_text"])
-def test_cli_output_bytes_match_committed_files(tmp_path, monkeypatch, method):
-    """metrics.jsonl and summary.jsonl, byte for byte: ANML_ER fills the gate
-    fields, AGEM the violations, and MTL runs without a memory; SEQ, REPLAY
-    and MAML_ER run the same suite. The *_imbalanced cases are shaped like
-    the replay-heavy benchmark: an IMBALANCED suite, p_write 0.1 and replays
-    that ask for 160 examples of a memory that holds about 60. hashed_text runs
-    OML_ER over the .tsv files beside its config (paths relative to it):
+@pytest.mark.parametrize("case", sorted(p.name for p in _CLI_OUTPUTS.iterdir()))
+def test_cli_output_bytes_match_committed_files(tmp_path, monkeypatch, case):
+    """Every committed case, run with --debug-traces: metrics.jsonl,
+    events.jsonl and summary.jsonl, byte for byte. ANML_ER fills the gate
+    fields, AGEM the violations, and MTL runs without a memory (its events
+    are empty); SEQ, REPLAY and MAML_ER run the same suite. The *_imbalanced
+    cases are shaped like the replay-heavy benchmark: an IMBALANCED suite,
+    p_write 0.1 and replays that ask for 160 examples of a memory that holds
+    about 60. hashed_text runs OML_ER over the .tsv files in its directory:
     punctuation, blank lines and non-ASCII lines, hashed to 64 buckets with
     truncation; AGEM_hashed_text runs A-GEM over the same files, so it
-    projects against a memory of hashed rows. A case that commits
-    events.jsonl runs with --debug-traces, and its events match too."""
-    expected = _CLI_OUTPUTS / method
+    projects against a memory of hashed rows. A config's dataset paths are
+    read from the working directory, so the run starts in the case's."""
+    expected = _CLI_OUTPUTS / case
     monkeypatch.chdir(expected)
     out = tmp_path / "out"
-    traces = ["--debug-traces"] * any(expected.rglob("events.jsonl"))
-    assert main(["run", "--config", str(expected / "config.json"), "--out", str(out),
-                 *traces]) == 0
+    assert main(["run", "--config", "config.json", "--out", str(out), "--debug-traces"]) == 0
     files = sorted(p.relative_to(expected) for p in expected.rglob("*.jsonl"))
-    assert len(files) == 5 + 4 * len(traces)  # 2 orders x 2 seeds, and the summary
+    assert len(files) == 9  # 2 orders x 2 seeds x (metrics, events), and the summary
     for name in files:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
@@ -764,6 +761,14 @@ def test_overflow_while_building_a_suite_is_an_input_error(monkeypatch):
     monkeypatch.setattr(config_module, "make_synthetic_suite", overflowing_suite)
     with pytest.raises(InputError, match="overflow"):
         build_suite(parse_config(_minimal()))
+
+
+def test_cli_suite_fault_is_named_once(tmp_path, capsys):
+    """A fault the suite builder names itself is reported as it is, under
+    the section that holds it."""
+    suite = {**_minimal()["suite"], "num_tasks": 1}
+    _run_exits_2_and_writes_nothing(tmp_path, _cli_config(tmp_path, suite=suite))
+    assert capsys.readouterr().err == "error: suite: need at least 2 tasks\n"
 
 
 def test_cli_overflow_in_training_exits_3(tmp_path, capsys):

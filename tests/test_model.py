@@ -151,6 +151,26 @@ def test_candidate_mode_scores_and_accuracy():
         clf.predict(params, Batch(batch.features[0], np.array([0, 1])))
 
 
+@pytest.mark.parametrize("loss_mode, shape, message", [
+    (LossMode.MULTICLASS_CE, (4, 3), r"expected \(n, d\) features with d = 2, got \(4, 3\)"),
+    (LossMode.MULTICLASS_CE, (4, 1, 2), r"expected \(n, d\) features with d = 2, got \(4, 1, 2\)"),
+    (LossMode.CANDIDATE_BCE, (4, 2), r"expected \(n, K, d\) features with d = 2, got \(4, 2\)"),
+    (LossMode.CANDIDATE_BCE, (4, 3, 5),
+     r"expected \(n, K, d\) features with d = 2, got \(4, 3, 5\)"),
+], ids=["rows-of-the-wrong-width", "candidate-lists", "rows-not-candidate-lists",
+        "candidates-of-the-wrong-width"])
+def test_features_of_the_wrong_shape_are_rejected(loss_mode, shape, message):
+    """One check covers both modes, in predict and in loss_and_grad alike."""
+    clf = Classifier(ModelConfig(input_dim=2, encoder_dims=(2,), num_classes=2,
+                                 loss_mode=loss_mode))
+    params = clf.init_params(RNG)
+    batch = Batch(np.ones(shape), np.zeros(shape[0], dtype=int))
+    with pytest.raises(InputError, match=message):
+        clf.predict(params, batch)
+    with pytest.raises(InputError, match=message):
+        clf.loss_and_grad(params, batch, {Partition.HEAD})
+
+
 def test_training_step_reduces_loss():
     clf = Classifier(ModelConfig(input_dim=4, encoder_dims=(8,), num_classes=3))
     params = clf.init_params(np.random.default_rng(5))

@@ -325,6 +325,22 @@ def test_hashed_rows_bytes_do_not_grow_with_dim(tmp_path):
     assert nbytes == [41 * 8 + 40 * 8 + 120 * 3] * 2 + [41 * 8 + 40 * 8 + 120 * 5] * 2
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                    reason="numpy 1 does not pass copy to __array__")
+def test_hashed_rows_densify_only_as_a_copy(tmp_path):
+    """numpy 2 passes ``copy`` to ``__array__``; densifying always copies, so
+    copy=False is refused rather than silently answered with a new array."""
+    config, texts = FeaturizerConfig(dim=8), ["spam ham", "eggs"]
+    features = one_split(load_text_tasks([[_write(tmp_path / "t.tsv", texts)]],
+                                         config)[0]).features
+    want = np.array([_featurize_loop(text, config) for text in texts])
+    np.testing.assert_array_equal(np.asarray(features), want)
+    np.testing.assert_array_equal(np.array(features, copy=True), want)
+    assert np.asarray(features, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError, match="copy"):
+        np.array(features, copy=False)
+
+
 def _store_bytes(features):
     return (features.indptr.nbytes + features.norms.nbytes + features.cols.nbytes
             + features.counts.nbytes)
