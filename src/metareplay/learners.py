@@ -275,7 +275,7 @@ def train(model, tasks, config: LearnerConfig, seed: int, stream_order=None):
                              "training examples, but meta-test fine-tuning samples from "
                              "memory (set ablations.no_meta_test_finetune)")
     batches = itertools.chain.from_iterable(itertools.repeat(stream, config.epochs))
-    adam, steps = Adam(params, model.outer_partitions(), config.outer_lr), []
+    adam, steps = Adam(params, config.outer_lr), []
     step = _meta_episode if config.method in META_METHODS else _baseline_step
     while (record := step(model, adam, batches, memory, config, len(steps) + 1)) is not None:
         steps.append(record)

@@ -31,7 +31,8 @@ class EpisodicMemory:
     Admission uses one uniform from ``write_rng`` per offered example, in
     offer order, all drawn here: the i-th offered example is admitted if the
     i-th draw is below ``p_write``. Drawing them one write at a time would
-    give the same values. ``p_write`` 1 admits everything and draws nothing.
+    give the same values. ``p_write`` 1 admits everything, since every draw
+    is below 1; no other draw reads ``write_rng``.
     """
 
     def __init__(self, p_write: float, tasks, write_rng: np.random.Generator,
@@ -42,8 +43,7 @@ class EpisodicMemory:
         self._offsets = np.array([t.offset for t in tasks], dtype=np.int64)
         self._task_ids = np.array([t.task_id for t in tasks], dtype=np.int64)
         self.capacity = capacity = self._split.size
-        self._admit = (np.ones(capacity, dtype=bool) if p_write >= 1.0
-                       else write_rng.random(capacity) < p_write)
+        self._admit = write_rng.random(capacity) < p_write
         self._sample_rng = sample_rng
         self._rows = np.empty(capacity, dtype=np.int64)
         self._size = 0

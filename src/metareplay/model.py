@@ -9,10 +9,13 @@ Three variants over a shared small dense encoder:
 * ``MAML`` — ANML without the gate; the whole prediction path is adapted.
 
 Each network is stated once, as stacks of (layer name, partition): the
-encoder, ANML's NM network and the head. One forward helper runs a stack;
-the backward pass walks each stack down with one helper and forms an input
-gradient only while a requested partition lies below it, so inner loops can
-request gradients for any contiguous set of trained partitions.
+encoder (``ENCODER`` in every architecture), ANML's NM network and the head.
+The stacks are the one place partitions are stated: the outer set is every
+stack partition but ``NM_FROZEN``, and the inner set is the one rule per
+architecture. One forward helper runs a stack. The backward pass walks a
+stack only when its top partition is requested and stops at the bottom layer
+or where the next layer down is not requested, so inner loops can request
+gradients for any contiguous set of trained partitions.
 """
 
 from __future__ import annotations
@@ -95,22 +98,14 @@ class Classifier:
     def __init__(self, config: ModelConfig):
         self.config = config
         arch = config.architecture
-        enc_part = Partition.ENCODER if arch == "OML" else Partition.PN_ENCODER
         # The layer stacks, bottom up, as (layer name, partition).
-        self._encoder = [(f"enc{i}", enc_part) for i in range(len(config.encoder_dims))]
+        self._encoder = [(f"enc{i}", Partition.ENCODER) for i in range(len(config.encoder_dims))]
         # ANML's NM network; its first projection stays at its random initialization.
         self._nm = [("nm_in", Partition.NM_FROZEN), ("nm_mid", Partition.NM),
                     ("nm_out", Partition.NM)] if arch == "ANML" else []
         self._head = [("head", Partition.HEAD)]
-        # The partitions below each layer's input and below each stack's output;
-        # the head sits on both other stacks.
-        self._below = {}
-        for key, stack in (("encoder", self._encoder), ("nm", self._nm)):
-            for i, (name, _) in enumerate(stack):
-                self._below[name] = frozenset(part for _, part in stack[:i])
-            self._below[key] = frozenset(part for _, part in stack)
-        self._below["head"] = self._below["encoder"] | self._below["nm"]
-        self._outer = self._below["head"] - {Partition.NM_FROZEN} | {Partition.HEAD}
+        self._outer = frozenset(part for stack in (self._encoder, self._nm, self._head)
+                                for _, part in stack) - {Partition.NM_FROZEN}
         self._inner = (frozenset({Partition.HEAD}) if arch == "OML"
                        else self._outer - {Partition.NM})
 
@@ -179,40 +174,39 @@ class Classifier:
     def _backward(self, params: ParameterSet, cache: dict, dlogits: np.ndarray,
                   parts: frozenset):
         """A fresh gradient vector over ``params.span(parts)``, filled through
-        the layout's cached slots. An input gradient is formed only where a
-        requested partition lies below it."""
+        the layout's cached slots. A stack is walked only when its top
+        partition is requested, and down only while the next layer is."""
         t = params.tensors
-        below = self._below
         span, slots = params.layout(parts)
         flat = np.empty(span.stop - span.start)
 
-        def weight_grads(layer, x, dz):
-            a, b, shape = slots[layer + ".W"]
-            np.matmul(x.T, dz, out=flat[a:b].reshape(shape))
-            a, b, _ = slots[layer + ".b"]  # biases are vectors
-            np.add.reduce(dz, axis=0, out=flat[a:b])
+        def requested(stack):
+            return bool(stack) and stack[-1][1] in parts
 
         def walk(stack, records, dz):
             """Down a stack from ``dz``, the gradient at its top pre-activation."""
             for i in reversed(range(len(stack))):
-                name, part = stack[i]
-                if part in parts:
-                    weight_grads(name, records[i][0], dz)
-                if parts.isdisjoint(below[name]):
+                name = stack[i][0]
+                a, b, shape = slots[name + ".W"]
+                np.matmul(records[i][0].T, dz, out=flat[a:b].reshape(shape))
+                a, b, _ = slots[name + ".b"]  # biases are vectors
+                np.add.reduce(dz, axis=0, out=flat[a:b])
+                if i == 0 or stack[i - 1][1] not in parts:
                     return
                 dz = relu_backward(records[i - 1][1], dz @ t[name + ".W"].T)
 
-        if Partition.HEAD in parts:
-            weight_grads("head", cache["head"][0][0], dlogits)
-        if parts.isdisjoint(below["head"]):
+        if requested(self._head):
+            walk(self._head, cache["head"], dlogits)
+        nm, encoder = requested(self._nm), requested(self._encoder)
+        if not (nm or encoder):
             return flat
         dh = dlogits @ t["head.W"].T
         if self._nm:
             gate = cache["gate"]
-            if not parts.isdisjoint(below["nm"]):
+            if nm:
                 walk(self._nm, cache["nm"], sigmoid_backward(gate, dh * cache["rep"]))
             dh = dh * gate
-        if not parts.isdisjoint(below["encoder"]):
+        if encoder:
             records = cache["encoder"]
             walk(self._encoder, records, relu_backward(records[-1][1], dh))
         return flat

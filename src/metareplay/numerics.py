@@ -18,7 +18,6 @@ class Partition(str, Enum):
 
     ENCODER = "encoder"
     HEAD = "head"
-    PN_ENCODER = "pn_encoder"
     NM = "nm"
     NM_FROZEN = "nm_frozen"  # never updated by any loop
 
@@ -44,7 +43,7 @@ class ParameterSet:
     """Named parameter tensors; the trained ones are views into one float64 vector.
 
     ``flat`` holds every parameter outside ``NM_FROZEN`` in sorted-name
-    order, so every partition set a model trains (inner, outer) is one
+    order, so a model's outer set spans all of it and its inner set is one
     contiguous slice, its ``span``; a gradient is one vector over a span.
     ``NM_FROZEN`` tensors are constants kept beside ``flat``: no span holds
     them. ``tensors`` maps each name to its tensor and keeps the caller's
@@ -213,33 +212,31 @@ def sgd_step(params: ParameterSet, grads: np.ndarray, alpha: float, parts) -> Pa
 
 
 class Adam:
-    """Adam's state over the span of ``parts``, with the rate ``lr`` bound:
+    """Adam's state over all of ``params.flat``, with the rate ``lr`` bound:
     both moments, the step count and one work vector. Its trainer owns it."""
 
-    def __init__(self, params: ParameterSet, parts, lr: float):
+    def __init__(self, params: ParameterSet, lr: float):
         if not 0.0 <= lr < math.inf:
             raise InputError("lr must be finite and non-negative")
         self.params = params
-        self.span = params.span(parts)
         self.lr = lr
         self.t = 0
-        n = self.span.stop - self.span.start
-        self.moments = np.zeros((2, n))  # first and second moment
-        self._tmp = np.empty(n)
+        self.moments = np.zeros((2, params.flat.size))  # first and second moment
+        self._tmp = np.empty(params.flat.size)
 
 
 def adam_step(adam: Adam, grads: np.ndarray) -> ParameterSet:
     """In-place Adam update with bias correction of ``adam.params``.
 
-    ``grads`` is one vector over the state's span, consumed: once the moments
-    have read it, it holds the step. A gradient that does not fit the span
+    ``grads`` is one vector over all of ``flat``, consumed: once the moments
+    have read it, it holds the step. A gradient that does not fit ``flat``
     or is not finite is rejected before anything changes.
     """
-    span = adam.span
     if np.shape(grads) != adam._tmp.shape:
-        raise InputError(f"gradient shape {np.shape(grads)} does not match span {span}")
+        raise InputError(f"gradient shape {np.shape(grads)} does not match "
+                         f"{adam._tmp.size} parameters")
     if not np.logical_and.reduce(np.isfinite(grads)):
-        raise NumericalError(f"non-finite gradient over parameters {span}")
+        raise NumericalError("non-finite gradient")
     m, v = adam.moments
     a = adam._tmp
     adam.t += 1
@@ -257,8 +254,7 @@ def adam_step(adam: Adam, grads: np.ndarray) -> ParameterSet:
     step = np.divide(m, 1.0 - ADAM_BETA1 ** t, out=grads)
     step *= adam.lr
     step /= a
-    p = adam.params.flat[span]
-    p -= step
+    adam.params.flat -= step
     return adam.params
 
 

@@ -98,8 +98,7 @@ def _backward_ref(cfg, params, cache, dlogits, parts):
             weight_grads("nm_mid", cache["nm_a0"],
                          relu_backward(cache["nm_z1"], dz2 @ t["nm_out.W"].T))
         dh = dh * gate
-    enc_part = Partition.ENCODER if cfg.architecture == "OML" else Partition.PN_ENCODER
-    if enc_part in parts:
+    if Partition.ENCODER in parts:
         for i in reversed(range(len(cfg.encoder_dims))):
             dz = relu_backward(cache["enc_out"][i], dh)
             weight_grads(f"enc{i}", cache["enc_in"][i], dz)
@@ -238,7 +237,7 @@ def test_loss_and_grad_matches_reference_over_every_span():
             np.testing.assert_array_equal(grad, ref_grad, err_msg=f"{name} {sorted(parts)}")
             checked += 1
     # OML and MAML: 3 sets each (two partitions); ANML: the 6 runs of its
-    # three trained partitions in layout order (PN_ENCODER, HEAD, NM).
+    # three trained partitions in layout order (ENCODER, HEAD, NM).
     assert checked == 24
 
 

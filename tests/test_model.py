@@ -75,16 +75,26 @@ def test_initial_gate_sits_near_its_bias():
 
 @pytest.mark.parametrize("arch,inner,outer", [
     ("OML", {Partition.HEAD}, {Partition.ENCODER, Partition.HEAD}),
-    ("ANML", {Partition.PN_ENCODER, Partition.HEAD},
-     {Partition.PN_ENCODER, Partition.HEAD, Partition.NM}),
-    ("MAML", {Partition.PN_ENCODER, Partition.HEAD},
-     {Partition.PN_ENCODER, Partition.HEAD}),
+    ("ANML", {Partition.ENCODER, Partition.HEAD},
+     {Partition.ENCODER, Partition.HEAD, Partition.NM}),
+    ("MAML", {Partition.ENCODER, Partition.HEAD},
+     {Partition.ENCODER, Partition.HEAD}),
 ])
 def test_partition_sets_per_architecture(arch, inner, outer):
     clf = Classifier(ModelConfig(input_dim=3, encoder_dims=(4,), num_classes=2,
                                  architecture=arch))
     assert clf.inner_partitions() == inner
     assert clf.outer_partitions() == outer
+
+
+@pytest.mark.parametrize("arch", ["OML", "ANML", "MAML"])
+def test_outer_span_is_all_of_flat(arch):
+    """The outer set holds every trained parameter, so Adam's state covers
+    all of ``flat``; the deep encoder checks that no layer falls outside."""
+    clf = Classifier(ModelConfig(input_dim=5, encoder_dims=(4, 3), num_classes=3,
+                                 architecture=arch, nm_hidden_dim=2))
+    params = clf.init_params(RNG)
+    assert params.span(clf.outer_partitions()) == slice(0, params.flat.size)
 
 
 def test_nm_first_projection_is_frozen_label():
@@ -124,7 +134,7 @@ def test_gradients_respect_partition_filter():
         "enc0.W", "enc0.b", "head.W", "head.b",
         "nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"}
     with pytest.raises(InputError):  # encoder and NM are separated by the head
-        clf.loss_and_grad(params, batch, {Partition.PN_ENCODER, Partition.NM})
+        clf.loss_and_grad(params, batch, {Partition.ENCODER, Partition.NM})
 
 
 def test_candidate_mode_scores_and_accuracy():

@@ -154,7 +154,7 @@ def test_a_rate_outside_zero_to_inf_is_rejected_by_name(rate):
     with pytest.raises(InputError, match="alpha"):
         sgd_step(params, np.array([0.5, -1.0]), rate, HEAD)
     with pytest.raises(InputError, match="lr"):
-        Adam(params, HEAD, rate)
+        Adam(params, rate)
     np.testing.assert_array_equal(params.tensors["p"], [1.0, 2.0])
 
 
@@ -176,7 +176,7 @@ def test_adam_matches_reference_over_many_steps():
     p0 = RNG.standard_normal(6)
     grads = [RNG.standard_normal(6) for _ in range(25)]
     params = _param(p0)
-    adam = Adam(params, HEAD, 0.01)
+    adam = Adam(params, 0.01)
     for g in grads:
         adam_step(adam, g.copy())
     np.testing.assert_allclose(params.tensors["p"], _reference_adam(p0, grads, 0.01),
@@ -190,7 +190,7 @@ def test_adam_keeps_one_work_vector_and_consumes_its_gradient():
     clf, params = _anml_params()
     parts = clf.outer_partitions()
     span = params.span(parts)
-    adam = Adam(params, parts, 0.01)
+    adam = Adam(params, 0.01)
     rng = np.random.default_rng(12)
     for _ in range(3):
         grads = rng.standard_normal(span.stop - span.start)
@@ -206,13 +206,13 @@ def test_adam_first_step_size_is_beta():
     # regardless of the gradient scale.
     for scale in (1e-4, 1.0, 1e4):
         params = _param([0.0])
-        adam_step(Adam(params, HEAD, 0.01), np.array([scale]))
+        adam_step(Adam(params, 0.01), np.array([scale]))
         assert params.tensors["p"][0] == pytest.approx(-0.01, rel=1e-3)
 
 
 def test_adam_beta_zero_is_identity_for_values():
     params = _param([3.0, -2.0])
-    adam = Adam(params, HEAD, 0.0)
+    adam = Adam(params, 0.0)
     adam_step(adam, np.array([1.0, 1.0]))
     np.testing.assert_allclose(params.tensors["p"], [3.0, -2.0])
     assert adam.t == 1  # state still advances
@@ -221,7 +221,7 @@ def test_adam_beta_zero_is_identity_for_values():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_adam_rejects_one_non_finite_gradient_entry(bad):
     params = _param([1.0, 2.0, 3.0])
-    adam = Adam(params, HEAD, 0.1)
+    adam = Adam(params, 0.1)
     with pytest.raises(NumericalError):
         adam_step(adam, np.array([0.5, bad, -0.5]))
     np.testing.assert_array_equal(params.tensors["p"], [1.0, 2.0, 3.0])
@@ -232,7 +232,7 @@ def test_sgd_on_a_clone_leaves_the_original_and_its_adam_state():
     # A clone is an inner-loop working copy: SGD steps on it touch neither
     # the parameters it was cloned from nor the Adam state over them.
     params = _param([1.0, -1.0])
-    adam = Adam(params, HEAD, 0.1)
+    adam = Adam(params, 0.1)
     adam_step(adam, np.array([1.0, 0.5]))
     values, moments = params.flat.copy(), adam.moments.copy()
     clone = params.clone()
@@ -295,7 +295,7 @@ def test_flat_adam_equals_per_tensor_loop():
     clf, params = _anml_params()
     parts = clf.outer_partitions()
     ref = {n: t.copy() for n, t in params.tensors.items()}
-    adam = Adam(params, parts, 0.01)
+    adam = Adam(params, 0.01)
     m, v = {}, {}
     rng = np.random.default_rng(8)
     for t in range(1, 26):
@@ -361,9 +361,9 @@ def test_adam_rejects_a_gradient_of_another_length():
     # A gradient over the inner span, or one entry too long, changes neither
     # the parameters nor the state.
     clf, params = _anml_params()
-    outer, inner = clf.outer_partitions(), clf.inner_partitions()
-    adam = Adam(params, outer, 0.1)
-    n = adam.span.stop - adam.span.start
+    inner = clf.inner_partitions()
+    adam = Adam(params, 0.1)
+    n = params.flat.size
     adam_step(adam, np.random.default_rng(11).standard_normal(n))
     values, moments = params.flat.copy(), adam.moments.copy()
     inner_len = params.span(inner).stop - params.span(inner).start
@@ -427,8 +427,7 @@ def test_no_span_holds_a_frozen_tensor(parts, clone):
     grads = np.ones(params.flat.size)
     calls = [lambda: target.span(parts),
              lambda: sgd_step(target, grads.copy(), 0.1, parts),
-             lambda: grad_check(target, lambda p: 0.0, grads.copy(), parts),
-             lambda: Adam(target, parts, 0.1)]
+             lambda: grad_check(target, lambda p: 0.0, grads.copy(), parts)]
     for call in calls:
         with pytest.raises(InputError, match="NM_FROZEN"):
             call()
