@@ -163,8 +163,8 @@ def schedule_info(replay_interval, batch_size, support_size, replay_rate):
     print(f"replay batch size         : {sched.replay_batch_size} examples")
     print(f"baseline replay frequency : {sched.baseline_frequency} optimizer steps")
     if sched.frequency == 1:
-        print("warning: replay would occur every episode "
-              f"(rate at or above 1/m = {1.0 / support_size:.0%})")
+        print("warning: replay would occur every episode (interval "
+              f"R_I = {replay_interval} at or below m*b = {support_size * batch_size} examples)")
     return sched
 
 

@@ -99,11 +99,6 @@ class ParameterSet:
         """The slice of ``flat`` holding exactly the parameters in ``parts``."""
         return self.layout(parts)[0]
 
-    def views(self, vector: np.ndarray, parts) -> dict:
-        """Named, reshaped views into ``vector``, a vector over the span of ``parts``."""
-        return {n: vector[a:b].reshape(shape)
-                for n, (a, b, shape) in self.layout(parts)[1].items()}
-
     def clone(self) -> "ParameterSet":
         """A copy of ``flat``; inner-loop working copies are clones. The
         clone's ``NM_FROZEN`` tensors are read-only views of this set's."""

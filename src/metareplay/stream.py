@@ -208,7 +208,7 @@ class HashedRows:
 def _hashed_rows(lengths, keys, config: FeaturizerConfig) -> tuple:
     """(indptr, cols, counts, norms) of the bucket-count rows of documents of
     ``lengths`` tokens whose int64 buckets are concatenated in ``keys``
-    (sorted in place); the norms are 1.0 unless the config L2-normalizes.
+    (overwritten); the norms are 1.0 unless the config L2-normalizes.
 
     A row's norm is the square root of the exact integer sum of its squared
     counts, equal to ``np.linalg.norm`` of the dense row while that sum is
@@ -216,14 +216,7 @@ def _hashed_rows(lengths, keys, config: FeaturizerConfig) -> tuple:
     """
     dim, n = config.dim, len(lengths)
     keys += np.repeat(np.arange(0, n * dim, dim, dtype=np.int64), lengths)
-    keys.sort()
-    # A (row, bucket) key's count runs from its first position to the next key's.
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    counts = np.diff(starts, append=len(keys))
-    keys = keys[starts]
+    keys, counts = np.unique(keys, return_counts=True)
     indptr = keys.searchsorted(np.arange(0, (n + 1) * dim, dim, dtype=np.int64))
     cols = np.remainder(keys, dim, out=keys).astype(np.min_scalar_type(dim - 1))
     if config.l2_normalize:

@@ -1,5 +1,6 @@
 """Checkpoint round trips."""
 
+import io
 import json
 from types import SimpleNamespace
 
@@ -115,3 +116,46 @@ def test_tensors_that_do_not_match_their_config_are_rejected(tmp_path, edit):
     _rewrite(path, edit)
     with pytest.raises(InputError, match="do not match"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda meta, data: meta["config"].update(depth=3), r"unknown \['depth'\]"),
+    (lambda meta, data: meta["config"].pop("input_dim"), r"missing \['input_dim'\]"),
+    (lambda meta, data: meta["config"].update(loss_mode="hinge"), "'hinge' is not a valid LossMode"),
+    (lambda meta, data: meta["config"].update(encoder_dims=3), "encoder_dims a list"),
+    (lambda meta, data: meta["config"].update(num_classes=True), "must be integers"),
+    (lambda meta, data: meta["config"].update(architecture="GRU"), "unknown architecture 'GRU'"),
+    (lambda meta, data: meta.pop("version"), "version None"),
+], ids=["unknown-key", "missing-input-dim", "unknown-loss-mode", "encoder-dims-not-a-list",
+        "bool-size", "unknown-architecture", "no-version"])
+def test_malformed_meta_is_rejected_naming_path_and_fault(tmp_path, edit, fault):
+    path, _, _ = _saved(tmp_path)
+    _rewrite(path, edit)
+    with pytest.raises(InputError, match=fault) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def _npy(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("write, fault", [
+    (lambda path: np.savez(path, __meta__=np.frombuffer(b"{version", dtype=np.uint8)),
+     "Expecting property name"),
+    (lambda path: np.savez(path, **{"tensor/head.b": np.zeros(2)}), "__meta__ is not a file"),
+    (lambda path: path.write_bytes(b"0\tnot a checkpoint\n"), "pickled"),
+    (lambda path: path.write_bytes(b""), "No data left"),
+    (lambda path: path.write_bytes(b"PK\x03\x04" + bytes(40)), "not a zip file"),
+    (lambda path: path.write_bytes(_npy(np.zeros(3))), "not a checkpoint"),
+    (lambda path: None, "No such file"),
+], ids=["meta-not-json", "no-meta", "not-an-npz", "empty", "broken-zip", "npy-array",
+        "missing-file"])
+def test_file_that_is_not_a_checkpoint_is_rejected_naming_path_and_fault(tmp_path, write, fault):
+    path = tmp_path / "c.npz"
+    write(path)
+    with pytest.raises(InputError, match=fault) as info:
+        load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: ")

@@ -1,6 +1,7 @@
 """Config parsing and the command-line entry points."""
 
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from metareplay.learners import LearnerConfig
 from metareplay.learners import run as run_learner
 from metareplay.model import ModelConfig
 from metareplay.numerics import InputError
-from metareplay.stream import FeaturizerConfig
+from metareplay.stream import FeaturizerConfig, make_synthetic_suite
 
 
 def _minimal(method="SEQ", **over):
@@ -59,8 +60,10 @@ def test_config_without_a_model_section_builds_the_default_model_config():
 
 def test_every_schema_default_is_its_config_field_default():
     """A default the schema states is also the default of the dataclass
-    field it fills, so a config and a direct library call agree (the
-    encoder width once differed). A null architecture is the method's."""
+    field or function parameter it fills, so a config and a direct library
+    call agree (the encoder width once differed). A null architecture is the
+    method's. ``make_synthetic_suite`` has one other default, ``test_per_class``
+    0 (no test set), which a config may not ask for."""
     from metareplay.config import _DATA, _SCHEMA
 
     filled = {
@@ -74,6 +77,8 @@ def test_every_schema_default_is_its_config_field_default():
         for key, (_, default) in schema.items():
             assert defaults[key] == (tuple(default) if isinstance(default, list) else default), \
                 f"{cls.__name__}.{key}"
+    separation = inspect.signature(make_synthetic_suite).parameters["separation"].default
+    assert separation == _DATA["suite"]["separation"][1]
 
 
 def test_unknown_keys_rejected_at_any_depth():
@@ -187,6 +192,12 @@ def test_schedule_info_output(capsys):
     assert "101" in out and "96" in out and "600" in out
     schedule_info(64, 16, 5, 0.9)
     assert "warning" in capsys.readouterr().out
+    # R_F is 1 exactly when R_I <= m*b, whatever the rate.
+    assert schedule_info(80, 16, 5, 0.1).frequency == 1
+    out = capsys.readouterr().out
+    assert "warning" in out and "R_I = 80 at or below m*b = 80" in out and "rate" not in out
+    assert schedule_info(81, 16, 5, 0.9).frequency == 2
+    assert "warning" not in capsys.readouterr().out
 
 
 def test_grad_check_suite_passes_tight_tolerance():

@@ -24,7 +24,7 @@ def test_flatten_is_sorted_by_key():
     batch = Batch(rng.standard_normal((5, 3)), rng.integers(0, 2, size=5))
     parts = clf.outer_partitions()
     _, g = clf.loss_and_grad(params, batch, parts)
-    named = params.views(g, parts)
+    named = {n: g[a:b].reshape(shape) for n, (a, b, shape) in params.layout(parts)[1].items()}
     assert sorted(named) == ["enc0.W", "enc0.b", "enc1.W", "enc1.b", "head.W", "head.b",
                              "nm_mid.W", "nm_mid.b", "nm_out.W", "nm_out.b"]
     np.testing.assert_array_equal(g, np.concatenate([named[k].ravel() for k in sorted(named)]))

@@ -2,8 +2,9 @@
 
 The references below are the earlier, simpler forms of ``sigmoid``,
 ``softmax_cross_entropy`` and ``Classifier.loss_and_grad`` (a forward pass of
-``x @ W + b`` layers and a backward pass that names every gradient through
-``ParameterSet.views``). The shipped code must reproduce them bit for bit.
+``x @ W + b`` layers and a backward pass that names every gradient as a
+view of one vector, at the offsets ``ParameterSet.layout`` gives). The
+shipped code must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -77,9 +78,9 @@ def _forward_ref(cfg, t, x):
 
 def _backward_ref(cfg, params, cache, dlogits, parts):
     t = params.tensors
-    span = params.span(parts)
+    span, layout = params.layout(parts)
     flat = np.empty(span.stop - span.start)
-    grads = params.views(flat, parts)
+    grads = {n: flat[a:b].reshape(shape) for n, (a, b, shape) in layout.items()}
 
     def weight_grads(layer, x, dz):
         np.matmul(x.T, dz, out=grads[f"{layer}.W"])
